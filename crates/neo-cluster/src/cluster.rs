@@ -1,4 +1,4 @@
-//! The fleet simulation: N servers, N links and a router in one event heap.
+//! The fleet simulation: N servers, N links and a router under one settle loop.
 //!
 //! # Anatomy
 //!
@@ -8,16 +8,13 @@
 //!  (arrivals) (Discipline)└─ link 2 ─► Server 2 (Engine 2)
 //! ```
 //!
-//! All of it lives in one `ClusterState` (private), the shared state of a
-//! [`neo_sim::event::EventEngine`]. The registered components are *alarm clocks* only:
-//! each advertises when its entity next has work (`next_tick`) and, when dispatched,
-//! calls `ClusterState::settle` — the single function that actually moves the
-//! cluster. `settle(now)` repeatedly takes the earliest due instant and processes
-//! every event at it in a fixed kind order (faults, then link deliveries, then engine
-//! steps, then retry re-dispatch, then frontend arrivals, then central dispatch), so
-//! the simulation's outputs are independent of which same-tick alarm the event engine
-//! happened to dispatch first — the property the fuzzed tie-break seeds verify
-//! bit-exactly.
+//! All of it lives in one `ClusterState` (private), and one function moves it:
+//! `ClusterState::settle` repeatedly takes the earliest instant at which anything has
+//! work (an engine's next activity, a link delivery, a frontend arrival, a fault, a
+//! retry coming off backoff) and processes every event at it in a fixed kind order
+//! (faults, then link deliveries, then engine steps, then retry re-dispatch, then
+//! frontend arrivals, then central dispatch). No event heap decides what runs first,
+//! so the simulation's outputs are a function of the inputs alone.
 //!
 //! # Failure model
 //!
@@ -49,7 +46,7 @@ use std::rc::Rc;
 use neo_core::Engine;
 use neo_serve::metrics::LatencySummary;
 use neo_serve::{DropReason, RequestHandle, Server};
-use neo_sim::event::{Component, ComponentId, EventEngine, SerialLine, TieBreak};
+use neo_sim::event::SerialLine;
 use neo_workload::{SloPolicy, Trace};
 use serde::Serialize;
 
@@ -78,11 +75,8 @@ pub struct ClusterConfig {
     pub link_bytes_per_s: f64,
     /// Request payload priced on the link: bytes per prompt token.
     pub bytes_per_token: f64,
-    /// Same-tick dispatch-order seed for the cluster event heap — `0` is the pinned
-    /// deterministic order, anything else a fuzzed permutation that must leave every
-    /// output bit-identical (see [`neo_sim::event::TieBreak::from_seed`]).
-    pub tie_break_seed: u64,
-    /// Event budget for the whole run (livelock guard).
+    /// Event budget for the whole run (livelock guard): the most settle passes
+    /// [`Cluster::run`] makes, each processing every event due at one instant.
     pub max_events: u64,
     /// Timed faults to inject. The default (empty) plan leaves every output
     /// byte-identical to a faultless run.
@@ -114,7 +108,6 @@ impl Default for ClusterConfig {
             link_latency_s: 2e-4,
             link_bytes_per_s: 1.25e9,
             bytes_per_token: 4.0,
-            tie_break_seed: 0,
             max_events: 5_000_000,
             fault_plan: FaultPlan::default(),
             failover: true,
@@ -286,9 +279,8 @@ struct TokenSink {
     lasts: Vec<u64>,
 }
 
-/// Shared state of the cluster event engine. All movement happens in
-/// [`ClusterState::settle`]; the registered components only decide *when* it runs.
-pub(crate) struct ClusterState {
+/// Everything a cluster run moves. All movement happens in [`ClusterState::settle`].
+struct ClusterState {
     slots: Vec<Slot>,
     requests: Vec<FrontendRequest>,
     /// Cursor into `requests` (sorted by arrival): the next frontend arrival.
@@ -374,22 +366,24 @@ impl ClusterState {
         due
     }
 
-    /// Processes every cluster event due at or before `now`, earliest instant first,
-    /// and within one instant in the fixed kind order: faults → link deliveries →
-    /// engine steps → retry re-dispatch → frontend arrivals → central dispatch. This
-    /// global order is what makes every routing decision independent of the event
-    /// heap's same-tick dispatch order: whichever alarm called `settle` first, the
-    /// cluster replays identically.
-    fn settle(&mut self, now: f64) {
+    /// Processes every cluster event until nothing is due, one pass per instant,
+    /// earliest instant first, and within one instant in the fixed kind order:
+    /// faults → link deliveries → engine steps → retry re-dispatch → frontend
+    /// arrivals → central dispatch. Every routing decision is a function of this
+    /// order alone, so a run replays bit-identically.
+    ///
+    /// # Panics
+    ///
+    /// Panics after [`ClusterConfig::max_events`] passes (livelock guard).
+    fn settle(&mut self) {
         let mut passes: u64 = 0;
         while let Some(at) = self.next_due() {
-            if at > now {
-                break;
-            }
             passes += 1;
             assert!(
                 passes <= self.config.max_events,
-                "cluster settle livelocked at t={at} ({} requests pending)",
+                "event engine exceeded {} events — the cluster is livelocked at t={at} \
+                 ({} requests not yet arrived)",
+                self.config.max_events,
                 self.requests.len() - self.next_arrival
             );
             self.apply_faults(at);
@@ -594,7 +588,7 @@ impl ClusterState {
         request.prompt_len + request.output_len < self.slots[engine].capacity
     }
 
-    /// Terminal sweep after the event core drains: anything still pending can only
+    /// Terminal sweep after `settle` drains: anything still pending can only
     /// be parked against a fleet that never recovered — shed it so every request
     /// ends in exactly one terminal state.
     fn finalize(&mut self) {
@@ -898,68 +892,9 @@ impl ClusterState {
     }
 }
 
-/// An alarm clock over one cluster entity. `kind`/`idx` select which entity's due
-/// time it advertises; every dispatch settles the whole cluster (idempotently), so
-/// same-tick alarm order cannot change any outcome.
-struct Alarm {
-    id: ComponentId,
-    name: String,
-    kind: AlarmKind,
-}
-
-enum AlarmKind {
-    /// Wakes at `Server::next_activity` of engine `idx`.
-    Engine { idx: usize },
-    /// Wakes at the head delivery time of link `idx`.
-    Link { idx: usize },
-    /// Wakes at the next frontend arrival.
-    Router,
-    /// Wakes at the next effective fault event or retry coming off backoff.
-    Fault,
-}
-
-impl Alarm {
-    fn due(&self, state: &ClusterState) -> Option<f64> {
-        match self.kind {
-            AlarmKind::Engine { idx } => state.slots[idx].server.next_activity(),
-            AlarmKind::Link { idx } => state.slots[idx].inflight.front().map(|&(d, _)| d),
-            AlarmKind::Router => {
-                state.requests.get(state.next_arrival).map(|request| request.arrival)
-            }
-            AlarmKind::Fault => match (state.fault_due(), state.retry_due()) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            },
-        }
-    }
-}
-
-impl Component<ClusterState> for Alarm {
-    fn id(&self) -> ComponentId {
-        self.id
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn next_tick(&self, state: &ClusterState) -> Option<f64> {
-        self.due(state)
-    }
-
-    fn tick(&mut self, now: f64, state: &mut ClusterState) -> Option<f64> {
-        state.settle(now);
-        self.due(state)
-    }
-
-    fn event_label(&self) -> String {
-        "settle".to_string()
-    }
-}
-
 /// A routed fleet of engines, ready to run a trace to completion.
 pub struct Cluster {
-    engine: EventEngine<ClusterState>,
+    state: ClusterState,
 }
 
 impl Cluster {
@@ -1081,7 +1016,6 @@ impl Cluster {
             arrivals_since_rebalance: 0,
             rebalances: 0,
         };
-        let engine_names: Vec<String> = slots.iter().map(|s| s.name.clone()).collect();
         let request_count = requests.len();
         let state = ClusterState {
             slots,
@@ -1100,38 +1034,9 @@ impl Cluster {
             retry_queue: Vec::new(),
             drops: Vec::new(),
             retries: 0,
-            config: config.clone(),
+            config,
         };
-        let mut event_engine = EventEngine::new(state, TieBreak::from_seed(config.tie_break_seed));
-        let mut id = 0;
-        for (idx, name) in engine_names.iter().enumerate() {
-            event_engine.add_component(Box::new(Alarm {
-                id,
-                name: format!("engine.{name}"),
-                kind: AlarmKind::Engine { idx },
-            }));
-            id += 1;
-        }
-        for (idx, name) in engine_names.iter().enumerate() {
-            event_engine.add_component(Box::new(Alarm {
-                id,
-                name: format!("link.{name}"),
-                kind: AlarmKind::Link { idx },
-            }));
-            id += 1;
-        }
-        event_engine.add_component(Box::new(Alarm {
-            id,
-            name: "router".to_string(),
-            kind: AlarmKind::Router,
-        }));
-        id += 1;
-        event_engine.add_component(Box::new(Alarm {
-            id,
-            name: "faults".to_string(),
-            kind: AlarmKind::Fault,
-        }));
-        Self { engine: event_engine }
+        Self { state }
     }
 
     /// Runs the fleet until every request reached a terminal state and summarises
@@ -1141,11 +1046,9 @@ impl Cluster {
     ///
     /// Panics if the run exceeds the configured event budget (livelock guard).
     pub fn run(mut self) -> ClusterReport {
-        let max_events = self.engine.shared().config.max_events;
-        self.engine.run(max_events);
-        let (mut state, _) = self.engine.into_parts();
-        state.finalize();
-        state.report()
+        self.state.settle();
+        self.state.finalize();
+        self.state.report()
     }
 }
 
@@ -1247,18 +1150,11 @@ mod tests {
     }
 
     #[test]
-    fn fuzzed_tie_break_seeds_leave_the_full_report_bit_identical() {
-        let reference = format!("{:?}", run(Discipline::LeastKv, 12, 5.0, homogeneous_pair()));
-        for seed in [1u64, 424242, u64::MAX] {
-            let trace = synthetic(12, 300, 12, ArrivalProcess::Uniform { rate: 5.0 }, 11);
-            let config = ClusterConfig {
-                discipline: Discipline::LeastKv,
-                tie_break_seed: seed,
-                ..ClusterConfig::default()
-            };
-            let fuzzed = format!("{:?}", Cluster::new(homogeneous_pair(), &trace, config).run());
-            assert_eq!(reference, fuzzed, "seed {seed} changed the cluster outcome");
-        }
+    #[should_panic(expected = "event engine exceeded")]
+    fn a_run_over_its_event_budget_panics() {
+        let trace = synthetic(4, 300, 12, ArrivalProcess::Uniform { rate: 4.0 }, 11);
+        let config = ClusterConfig { max_events: 1, ..ClusterConfig::default() };
+        let _ = Cluster::new(homogeneous_pair(), &trace, config).run();
     }
 
     #[test]
@@ -1387,25 +1283,5 @@ mod tests {
         let report = Cluster::new(homogeneous_pair(), &trace, config).run();
         assert_eq!(report.completed + report.dropped, 8);
         assert!(report.retries <= 8 * 2, "retries must respect the per-request budget");
-    }
-
-    #[test]
-    fn fault_runs_stay_bit_identical_across_fuzzed_seeds() {
-        let plan = || FaultPlan::new().engine_fail(0.5, 0).engine_recover(2.0, 0);
-        let reference = {
-            let trace = synthetic(12, 300, 12, ArrivalProcess::Uniform { rate: 5.0 }, 11);
-            let config = ClusterConfig { fault_plan: plan(), ..ClusterConfig::default() };
-            format!("{:?}", Cluster::new(homogeneous_pair(), &trace, config).run())
-        };
-        for seed in [1u64, 424242] {
-            let trace = synthetic(12, 300, 12, ArrivalProcess::Uniform { rate: 5.0 }, 11);
-            let config = ClusterConfig {
-                fault_plan: plan(),
-                tie_break_seed: seed,
-                ..ClusterConfig::default()
-            };
-            let fuzzed = format!("{:?}", Cluster::new(homogeneous_pair(), &trace, config).run());
-            assert_eq!(reference, fuzzed, "seed {seed} changed a faulted run");
-        }
     }
 }

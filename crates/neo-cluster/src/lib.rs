@@ -4,31 +4,26 @@
 //! GPU node. Millions of users mean a *fleet*: N servers — possibly heterogeneous
 //! (T4 + A10G + H100, each paired with the model it serves in the paper's Table 1) —
 //! fronted by a router that decides, per request, which engine gets it. This crate runs
-//! that fleet as one discrete-event simulation on the [`neo_sim::event::EventEngine`]:
+//! that fleet as one discrete-event simulation under one clock:
 //!
-//! * each engine/server pair is a [`neo_sim::event::Component`] woken at its
-//!   [`neo_serve::Server::next_activity`] time and advanced with
-//!   [`neo_serve::Server::poll`];
+//! * each engine/server pair has work at its [`neo_serve::Server::next_activity`]
+//!   time and is advanced with [`neo_serve::Server::poll`];
 //! * each frontend→engine network hop is a serial FIFO link
-//!   ([`neo_sim::event::SerialLine`]) with its own component;
-//! * the router is a component woken at frontend arrival times, binding requests to
-//!   engines under a pluggable [`Discipline`].
+//!   ([`neo_sim::event::SerialLine`]) that delivers requests at priced instants;
+//! * the router binds frontend arrivals to engines under a pluggable [`Discipline`].
 //!
 //! # Order-invariance by construction
 //!
-//! The event engine's contract is that same-tick dispatch order never matters
-//! ([`neo_sim::event::TieBreak::Fuzzed`] exists to prove it). Routing is the classic
-//! way to violate that: a router reading engine queue depths at tick *t* sees different
-//! depths depending on whether an engine's same-tick completion was dispatched first.
-//! This crate sidesteps the race structurally: components are pure *alarm clocks*.
-//! Every [`neo_sim::event::Component::tick`] funnels into one
-//! `ClusterState::settle(now)` pass that processes **all** cluster events due at or
-//! before `now` in a fixed global order — ascending time, then (within one instant)
-//! link deliveries → engine steps → frontend arrivals → central dispatch. Whichever
-//! alarm fires first settles the whole cluster identically, so every output (routing
-//! trace included) is bit-identical across fuzzed tie-break seeds. The
-//! `cluster_determinism` integration suite proptests this over ≥ 32 seeds and CI runs
-//! a fixed `NEO_EVENT_FUZZ_SEED` matrix.
+//! Routing is the classic place for event order to leak into outputs: a router
+//! reading engine queue depths at tick *t* sees different depths depending on whether
+//! an engine's same-tick completion was processed first. This crate has no event heap
+//! to leak an order. One loop, `ClusterState::settle`, takes the earliest instant at
+//! which anything is due and processes **all** cluster events at it in a fixed global
+//! order — faults → link deliveries → engine steps → retry re-dispatch → frontend
+//! arrivals → central dispatch — then moves on to the next instant. Every output
+//! (routing trace included) is a function of the engines, the trace and the
+//! [`ClusterConfig`] alone; the `cluster_determinism` integration suite replays every
+//! discipline twice and pins one routing trace with exact literals.
 //!
 //! # Failure model
 //!
@@ -36,8 +31,8 @@
 //! recoveries, link degradations, and per-request deadline expiries at exact
 //! simulated instants, applied in the same fixed settle order as everything else —
 //! so a fault scenario is as bit-reproducible as a faultless run (the
-//! `fault_determinism` suite proves it across fuzzed seeds). When an engine dies the
-//! router marks it down and, with failover enabled, re-dispatches its orphaned
+//! `fault_determinism` suite replays it under every discipline). When an engine dies
+//! the router marks it down and, with failover enabled, re-dispatches its orphaned
 //! requests to survivors under capped exponential backoff and a per-request retry
 //! budget; requests that exhaust the budget, miss an [`neo_workload::SloPolicy`]
 //! deadline, or fit no engine are shed with a typed [`neo_serve::DropReason`].

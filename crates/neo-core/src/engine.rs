@@ -19,9 +19,8 @@ use neo_sim::profiler::ProfiledCostModel;
 use neo_sim::{CostModel, SimClock};
 
 use crate::admit::AdmitError;
-use crate::config::{EngineConfig, OverlapModel};
-use crate::event_overlap::estimate_decision_event;
-use crate::pipeline::{estimate_decision, IterationEstimate};
+use crate::config::EngineConfig;
+use crate::pipeline::estimate_decision;
 use crate::request::{Request, RequestState};
 use crate::scheduler::{ScheduleContext, Scheduler};
 use crate::ExecutionMode;
@@ -225,7 +224,7 @@ impl Engine {
     /// are GPU-resident and such requests may need to live on the CPU.
     fn adopt_prefix_on_submit(&mut self, id: u64) {
         let Some(req) = self.requests.get_mut(&id) else { return };
-        if req.total_tokens() > self.kv.config().gpu_capacity_tokens {
+        if req.total_tokens() > self.kv.pool(Device::Gpu).capacity_tokens() {
             return;
         }
         if req.prompt_runs.is_empty() {
@@ -248,10 +247,11 @@ impl Engine {
     /// hold on this engine. A sequence's KV lives wholly on one device (swaps move
     /// whole sequences), so the binding limit is the *larger* of the two pools, not
     /// their sum: a request above this can never finish and is refused at
-    /// [`Engine::submit`].
+    /// [`Engine::submit`]. Pools hold whole blocks, so this is the block-rounded
+    /// capacity, not the configured one.
     pub fn max_context_capacity(&self) -> usize {
-        let config = self.kv.config();
-        config.gpu_capacity_tokens.max(config.cpu_capacity_tokens)
+        let gpu = self.kv.pool(Device::Gpu).capacity_tokens();
+        gpu.max(self.kv.pool(Device::Cpu).capacity_tokens())
     }
 
     /// Fail-stops the engine: every live request is evicted (its KV is lost, exactly
@@ -425,7 +425,7 @@ impl Engine {
                 gpu_free_tokens: self.kv.free_tokens(Device::Gpu),
                 cpu_free_tokens: self.kv.free_tokens(Device::Cpu),
                 disk_free_tokens: self.kv.free_tokens(Device::Disk),
-                gpu_capacity_tokens: self.kv.config().gpu_capacity_tokens,
+                gpu_capacity_tokens: self.kv.pool(Device::Gpu).capacity_tokens(),
                 prefill_device: &self.prefill_device,
                 admission_backlog: self.admission_backlog,
             };
@@ -516,26 +516,15 @@ impl Engine {
             }
         }
 
-        // "Execute": charge the iteration's duration from the exact cost model, via the
-        // configured overlap model (closed forms are the pinned reference; the
-        // event-ordered path derives the overlap from event ordering instead).
-        let estimate: IterationEstimate = match self.config.overlap_model {
-            OverlapModel::ClosedForm => estimate_decision(
-                &self.cost,
-                &decision,
-                swap_out_tokens,
-                swap_in_tokens,
-                self.config.layerwise_swap_overlap,
-            ),
-            OverlapModel::EventOrdered => estimate_decision_event(
-                &self.cost,
-                &decision,
-                swap_out_tokens,
-                swap_in_tokens,
-                self.config.layerwise_swap_overlap,
-                neo_sim::event::TieBreak::from_seed(self.config.event_tie_break_seed),
-            ),
-        };
+        // "Execute": charge the iteration's duration from the exact cost model through
+        // the paper's closed-form overlap formulas.
+        let estimate = estimate_decision(
+            &self.cost,
+            &decision,
+            swap_out_tokens,
+            swap_in_tokens,
+            self.config.layerwise_swap_overlap,
+        );
         // NVMe traffic does not share the PCIe swap path's layer-wise overlap machinery:
         // disk demotions/promotions are charged serially on top of the iteration.
         let disk_time = self.cost.disk_write_time_total(demote_tokens)
@@ -1192,5 +1181,25 @@ mod tests {
         assert!(iters < 50_000, "oversized prompt must not livelock");
         assert_eq!(e.completed().len(), 1);
         assert_eq!(e.completed()[0].generated, 16);
+    }
+
+    #[test]
+    fn a_prompt_in_the_block_rounding_gap_completes_on_idle_t4() {
+        // The T4 is configured for 3,123 GPU KV tokens, but its pool holds whole
+        // 16-token blocks: 3,120. A 3,122-token prompt fits the configured figure and
+        // not the pool. Sent to the GPU on the configured figure, it prefills 3,072
+        // tokens, cannot fit the last 50 into 48 free slots, is preempted and restarts
+        // on the GPU, forever. Every capacity the engine reads must be the pool's own.
+        let mut e = engine(Testbed::g4dn_4xlarge(), ModelDesc::llama2_7b());
+        let pool = e.kv().pool(Device::Gpu).capacity_tokens();
+        assert!(
+            pool < 3122 && 3122 <= e.kv().config().gpu_capacity_tokens,
+            "fixture must sit in the rounding gap (pool {pool})"
+        );
+        e.submit(Request::new(0, 0.0, 3122, 87)).unwrap();
+        let iters = e.run_to_completion(10_000);
+        assert!(iters < 10_000, "the gap prompt must not livelock");
+        assert_eq!(e.completed().len(), 1);
+        assert_eq!(e.completed()[0].generated, 87);
     }
 }

@@ -7,9 +7,9 @@
 //! of each rank's PCIe link (d2h, h2d; per-rank wall-clock pricing per PR 5) — and lets
 //! the overlap *fall out of event ordering* instead.
 //!
-//! The closed-form path stays the pinned reference (all figure drivers regenerate
-//! bit-identically under it); the event-ordered path is the cross-check and the seam
-//! finer pipelining builds on. The two agree exactly when swap traffic flows in a
+//! The engine always charges the closed forms (all figure drivers regenerate
+//! bit-identically under them); this module is their reference oracle, which the
+//! agreement tests price recorded decisions against. The two agree exactly when swap traffic flows in a
 //! single direction and the GPU is the per-layer critical resource, and within a small
 //! pinned tolerance otherwise, because the event model is *finer* in two ways the
 //! closed forms round up:

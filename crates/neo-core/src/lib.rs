@@ -23,12 +23,12 @@
 //! decisions to the paged KV cache and advances simulated time using the cost models
 //! from `neo-sim`.
 //!
-//! Iteration time is charged through one of two overlap models
-//! ([`config::OverlapModel`]): the paper's closed forms ([`pipeline`], the default and
-//! pinned reference) or event-ordered execution of the decision's job graph
-//! ([`event_overlap`]), where GPU compute, CPU attention and the two PCIe link
-//! directions run as discrete-event components on `neo_sim::event::EventEngine` and
-//! overlap falls out of event ordering.
+//! The engine charges iteration time with the paper's closed forms ([`pipeline`]).
+//! [`event_overlap`] is their reference oracle: it prices the same decision by
+//! event-ordered execution of its job graph, where GPU compute, CPU attention and the
+//! two PCIe link directions run as discrete-event components on
+//! `neo_sim::event::EventEngine` and overlap falls out of event ordering. The
+//! agreement tests price recorded decisions both ways.
 //!
 //! # Example
 //!
@@ -63,7 +63,7 @@ pub mod scheduler;
 
 pub use admit::AdmitError;
 pub use batch::{PrefillItem, ScheduleDecision, SubBatch};
-pub use config::{EngineConfig, OverlapModel};
+pub use config::EngineConfig;
 pub use engine::{Engine, IterationReport};
 pub use event_overlap::{estimate_decision_event, trace_decision_event};
 pub use pipeline::IterationEstimate;

@@ -1,10 +1,11 @@
 //! Workspace determinism-hygiene static analysis (`neo-lint`).
 //!
 //! Every figure, golden trace, and CI gate in this NEO reproduction rests on
-//! one invariant: simulation output is **bit-identical** under fuzzed event
-//! tie-break seeds. That invariant is defended dynamically by the
-//! `NEO_EVENT_FUZZ_SEED` proptest matrices — but a `HashMap` iteration in a
-//! settle path, an ambient `Instant::now()`, or a NaN-swallowing float sort
+//! one invariant: simulation output is **bit-identical** from run to run, and
+//! the event-ordered pricing oracle's under any fuzzed event tie-break seed.
+//! That invariant is defended dynamically by the replay tests and the
+//! `event-fuzz` CI job's `NEO_EVENT_FUZZ_SEED` matrix — but a `HashMap`
+//! iteration in a settle path, an ambient `Instant::now()`, or a NaN-swallowing float sort
 //! slips past those probabilistically, long after merge. `neo-lint` is the
 //! compile-time-style gate: a hand-rolled, comment/string/raw-string-aware
 //! token scanner ([`mod@scan`]) plus a rule engine ([`rules`]) that walks every

@@ -2,12 +2,12 @@
 //!
 //! The closed-form overlap terms in [`crate::transfer`] and `neo_kvcache::SwapPlan`
 //! describe *steady-state* pipelines: one formula per regime, no notion of which engine
-//! was busy when. This module provides the finer-grained alternative the ROADMAP's
-//! cluster and pipelining items build on: everything that evolves over time — a GPU
-//! compute stream, the CPU attention workers, each per-rank PCIe link direction — is a
-//! [`Component`] with its own clock, driven by an [`EventEngine`] that pops wake-ups
-//! from a min-heap keyed `(next_tick, ComponentId)`. Transfer/compute overlap then
-//! *falls out of event ordering* instead of being assumed by a formula.
+//! was busy when. This module provides the finer-grained alternative: everything that
+//! evolves over time — a GPU compute stream, the CPU attention workers, each per-rank
+//! PCIe link direction — is a [`Component`] with its own clock, driven by an
+//! [`EventEngine`] that pops wake-ups from a min-heap keyed `(next_tick, ComponentId)`.
+//! Transfer/compute overlap then *falls out of event ordering* instead of being
+//! assumed by a formula.
 //!
 //! # Determinism and fuzzed execution order
 //!
@@ -329,46 +329,6 @@ impl<S> EventEngine<S> {
         }
         self.now
     }
-
-    /// The time of the earliest pending wake-up across all components, after
-    /// re-polling them against the current shared state (`None` when every component
-    /// is asleep). This is the scheduling seam cluster drivers use to interleave an
-    /// engine with external clocks without dispatching anything.
-    pub fn next_event_time(&mut self) -> Option<f64> {
-        self.sync_wakeups();
-        self.scheduled
-            .iter()
-            .flatten()
-            .copied()
-            .fold(None, |acc: Option<f64>, t| Some(acc.map_or(t, |a| a.min(t))))
-    }
-
-    /// Dispatches every event due at or before `horizon`, then advances the clock to
-    /// `horizon` (an idle stretch still moves simulated time). Returns the number of
-    /// events dispatched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `horizon` is not finite, lies in the past, or more than
-    /// `max_events` events are dispatched before reaching it.
-    pub fn run_until(&mut self, horizon: f64, max_events: u64) -> u64 {
-        assert!(
-            horizon.is_finite() && horizon + 1e-12 >= self.now,
-            "run_until horizon {horizon} must be finite and not before now ({})",
-            self.now
-        );
-        let start = self.processed;
-        while self.next_event_time().is_some_and(|t| t <= horizon) {
-            self.step_event();
-            assert!(
-                self.processed - start <= max_events,
-                "event engine exceeded {max_events} events before {horizon} — \
-                 a component is livelocked"
-            );
-        }
-        self.now = self.now.max(horizon);
-        self.processed - start
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -377,8 +337,8 @@ impl<S> EventEngine<S> {
 
 /// A serial FIFO link: one transfer occupies the wire at a time, each for
 /// `bytes / bandwidth` seconds, and every delivery lands one propagation `latency`
-/// after its transfer drains. This is the inter-node primitive cluster components
-/// price frontend→engine hops with; the per-rank PCIe directions in
+/// after its transfer drains. This is the inter-node primitive the cluster prices
+/// frontend→engine hops with; the per-rank PCIe directions in
 /// [`crate::transfer`] stay closed-form.
 ///
 /// Pricing is deterministic and order-dependent only on the call order of
@@ -859,41 +819,6 @@ mod tests {
             }
         }
         engine.add_component(Box::new(Wrong));
-    }
-
-    #[test]
-    fn next_event_time_peeks_without_dispatching() {
-        let mut engine = EventEngine::new(Vec::new(), TieBreak::ById);
-        engine.add_component(beeper(0, 3.0, 2));
-        engine.add_component(beeper(1, 2.0, 1));
-        assert_eq!(engine.next_event_time(), Some(2.0));
-        assert_eq!(engine.events_processed(), 0);
-        engine.run(100);
-        assert_eq!(engine.next_event_time(), None);
-    }
-
-    #[test]
-    fn run_until_stops_at_the_horizon_and_advances_idle_time() {
-        let mut engine = EventEngine::new(Vec::new(), TieBreak::ById);
-        engine.add_component(beeper(0, 2.0, 3));
-        // Events at 2 and 4 are due by 4.5; the one at 6 is not.
-        assert_eq!(engine.run_until(4.5, 100), 2);
-        assert_eq!(engine.now(), 4.5, "idle stretch advances the clock to the horizon");
-        assert_eq!(engine.shared().len(), 2);
-        assert_eq!(engine.run_until(10.0, 100), 1);
-        assert_eq!(engine.now(), 10.0);
-        // A horizon with nothing pending still moves time forward.
-        assert_eq!(engine.run_until(12.0, 100), 0);
-        assert_eq!(engine.now(), 12.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "not before now")]
-    fn run_until_rejects_horizons_in_the_past() {
-        let mut engine = EventEngine::new(Vec::new(), TieBreak::ById);
-        engine.add_component(beeper(0, 1.0, 2));
-        engine.run(100);
-        engine.run_until(0.5, 100);
     }
 
     // -- serial line --------------------------------------------------------

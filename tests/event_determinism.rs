@@ -1,30 +1,39 @@
 //! Event-engine determinism, replay, and closed-form agreement contracts.
 //!
-//! The discrete-event path (`OverlapModel::EventOrdered`) must be:
+//! The engine charges every iteration with the paper's closed forms
+//! (`neo_core::pipeline`); `neo_core::event_overlap` is their reference oracle, which
+//! prices the same decision by event-ordered execution of its job graph. This suite
+//! records the decisions of one engine or server run with a test-side [`Scheduler`]
+//! wrapper and prices each decision both ways. The oracle must be:
 //!
 //! * **order-invariant** — fuzzing the same-tick dispatch order with any seed leaves
-//!   every simulation output (iteration reports, TTFT/ITL summaries) bit-identical,
-//!   because well-formed components derive their transitions from simulated time and
-//!   shared state, never from dispatch order (proptested over ≥ 64 seeds, plus the
-//!   `NEO_EVENT_FUZZ_SEED` CI matrix);
+//!   every estimate bit-identical, because well-formed components derive their
+//!   transitions from simulated time and shared state, never from dispatch order
+//!   (proptested over ≥ 64 seeds, plus the `NEO_EVENT_FUZZ_SEED` CI matrix);
 //! * **replayable** — the exact `(tick, component, event)` sequence of an h100_70b
 //!   decision window is pinned, in the style of the scheduling traces in
 //!   `tests/tp_accounting.rs`;
-//! * **agreeing with the pinned closed forms** — the default path regenerates every
-//!   figure bit-identically, and the event-ordered path tracks it within the pinned
-//!   tolerance asserted here (never slower, at most one stage time faster).
+//! * **agreeing with the pinned closed forms** — on every recorded decision the
+//!   event-ordered estimate is never slower, and in aggregate at most 8 % faster.
+
+use std::sync::{Arc, Mutex};
 
 use neo_bench::{Policy, Scenario};
-use neo_core::config::{EngineConfig, OverlapModel};
+use neo_core::config::EngineConfig;
+use neo_core::pipeline::{estimate_decision, IterationEstimate};
 use neo_core::request::Request;
-use neo_core::{trace_decision_event, Engine, ExecutionMode, ScheduleDecision, SubBatch};
+use neo_core::{
+    estimate_decision_event, trace_decision_event, Engine, ExecutionMode, IterationReport,
+    ScheduleContext, ScheduleDecision, Scheduler, SubBatch,
+};
 use neo_serve::Server;
 use neo_sim::event::TieBreak;
+use neo_sim::CostModel;
 use proptest::prelude::*;
 
 /// The small T4 scenario (LLaMa-2-7B on g4dn.4xlarge) used by the determinism
 /// proptests: bursty enough to exercise offloading, swaps and both sub-batches, small
-/// enough to run 64+ fuzzed cases quickly.
+/// enough to price 64+ fuzzed cases quickly.
 const T4_REQUESTS: usize = 10;
 const T4_PROMPT: usize = 240;
 const T4_OUTPUT: usize = 12;
@@ -37,68 +46,131 @@ fn kv_hierarchy_on() -> bool {
     std::env::var("NEO_KV_HIERARCHY").map(|v| v == "on" || v == "1").unwrap_or(false)
 }
 
-fn t4_engine(seed: u64) -> Engine {
-    let config = EngineConfig {
-        overlap_model: OverlapModel::EventOrdered,
-        event_tie_break_seed: seed,
-        prefix_cache: kv_hierarchy_on(),
-        ..EngineConfig::default()
-    };
-    Scenario::t4_7b().engine_with_config(Policy::Neo, config)
+/// One non-idle decision, with the whole-sequence swap traffic the engine priced it
+/// with.
+struct Recorded {
+    decision: ScheduleDecision,
+    swap_out_tokens: usize,
+    swap_in_tokens: usize,
 }
 
-/// Runs the T4 engine workload under the given fuzz seed and renders every iteration
-/// report with full `{:?}` (f64 round-trip) precision — the bit-identity surface.
-fn t4_iteration_reports(seed: u64) -> String {
-    let mut engine = t4_engine(seed);
-    for id in 0..T4_REQUESTS as u64 {
-        engine
-            .submit(Request::new(id, 0.0, T4_PROMPT + (id as usize % 3) * 40, T4_OUTPUT))
-            .unwrap();
+type Log = Arc<Mutex<Vec<Recorded>>>;
+
+/// Delegates to the real policy and logs every non-idle decision it makes.
+struct Recorder {
+    inner: Box<dyn Scheduler>,
+    log: Log,
+}
+
+impl Scheduler for Recorder {
+    fn schedule(&mut self, ctx: &ScheduleContext<'_>) -> ScheduleDecision {
+        let decision = self.inner.schedule(ctx);
+        if !decision.is_idle() {
+            let tokens = |ids: &[u64]| ids.iter().map(|id| ctx.requests[id].context_len()).sum();
+            let recorded = Recorded {
+                swap_out_tokens: tokens(&decision.swap_out),
+                swap_in_tokens: tokens(&decision.swap_in),
+                decision: decision.clone(),
+            };
+            self.log.lock().expect("no test thread panics holding the log").push(recorded);
+        }
+        decision
     }
-    let mut rendered = String::new();
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
+/// A NEO engine on `scenario` whose decisions land in the returned log.
+fn recording_engine(scenario: &Scenario) -> (Engine, Log) {
+    let log = Log::default();
+    let config = EngineConfig { prefix_cache: kv_hierarchy_on(), ..EngineConfig::default() };
+    let scheduler = Recorder { inner: Policy::Neo.scheduler(), log: Arc::clone(&log) };
+    (Engine::new(scenario.cost_model(), config, Box::new(scheduler)), log)
+}
+
+fn take(log: &Log) -> Vec<Recorded> {
+    std::mem::take(&mut *log.lock().expect("no test thread panics holding the log"))
+}
+
+/// Prices a recorded decision with the closed forms, exactly as the engine did.
+fn closed_form(cost: &CostModel, r: &Recorded) -> IterationEstimate {
+    estimate_decision(cost, &r.decision, r.swap_out_tokens, r.swap_in_tokens, true)
+}
+
+/// Prices a recorded decision with the event-ordered oracle.
+fn event_ordered(cost: &CostModel, r: &Recorded, tie_break: TieBreak) -> IterationEstimate {
+    estimate_decision_event(cost, &r.decision, r.swap_out_tokens, r.swap_in_tokens, true, tie_break)
+}
+
+/// Runs `requests` on a recording engine until idle and returns the engine's cost
+/// model, every iteration report and the recorded decisions.
+fn record_engine_run(
+    scenario: &Scenario,
+    requests: impl IntoIterator<Item = Request>,
+) -> (CostModel, Vec<IterationReport>, Vec<Recorded>) {
+    let (mut engine, log) = recording_engine(scenario);
+    for request in requests {
+        engine.submit(request).unwrap();
+    }
+    let mut reports = Vec::new();
     while !engine.is_idle() {
-        rendered.push_str(&format!("{:?}\n", engine.step()));
+        reports.push(engine.step());
     }
-    rendered
+    (engine.cost_model().clone(), reports, take(&log))
 }
 
-/// Runs the same workload through the serving loop (staggered arrivals, token
-/// streaming) and renders the full report — TTFT/ITL summaries included — with `{:?}`
-/// precision.
-fn t4_server_report(seed: u64) -> String {
-    let mut server = Server::new(t4_engine(seed));
+/// The T4 workload's decisions, recorded twice: once stepping the engine directly,
+/// once through the serving loop (staggered arrivals, token streaming).
+fn t4_recordings() -> (CostModel, Vec<Recorded>) {
+    let requests = (0..T4_REQUESTS as u64)
+        .map(|id| Request::new(id, 0.0, T4_PROMPT + (id as usize % 3) * 40, T4_OUTPUT));
+    let (cost, _, mut decisions) = record_engine_run(&Scenario::t4_7b(), requests);
+    let (engine, log) = recording_engine(&Scenario::t4_7b());
+    let mut server = Server::new(engine);
     for i in 0..T4_REQUESTS {
         server.submit(i as f64 * 0.05, T4_PROMPT, T4_OUTPUT).unwrap();
     }
-    format!("{:?}", server.run_until_idle())
+    server.run_until_idle();
+    decisions.extend(take(&log));
+    (cost, decisions)
+}
+
+/// Every recorded decision priced by the oracle under `tie_break`, rendered with full
+/// `{:?}` (f64 round-trip) precision — the bit-identity surface.
+fn render_event_estimates(cost: &CostModel, decisions: &[Recorded], tie_break: TieBreak) -> String {
+    decisions.iter().map(|r| format!("{:?}\n", event_ordered(cost, r, tie_break))).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// ≥ 64 fuzzed tie-break seeds: iteration reports and TTFT/ITL summaries are
-    /// bit-identical to the deterministic (`ById`, seed 0) order.
+    /// ≥ 64 fuzzed tie-break seeds: the oracle's estimate of every decision of the T4
+    /// engine and server runs is bit-identical to the deterministic (`ById`, seed 0)
+    /// order.
     #[test]
     fn fuzzed_tie_break_order_is_bit_identical_on_t4(seed in 1u64..u64::MAX) {
-        let reference = t4_iteration_reports(0);
-        let fuzzed = t4_iteration_reports(seed);
+        let (cost, decisions) = t4_recordings();
+        let reference = render_event_estimates(&cost, &decisions, TieBreak::ById);
+        let fuzzed = render_event_estimates(&cost, &decisions, TieBreak::from_seed(seed));
         prop_assert_eq!(&reference, &fuzzed);
-        let reference_report = t4_server_report(0);
-        let fuzzed_report = t4_server_report(seed);
-        prop_assert_eq!(&reference_report, &fuzzed_report);
     }
 }
 
 /// The CI seed-matrix entry point: `NEO_EVENT_FUZZ_SEED` (0 = deterministic order)
-/// must reproduce the seed-0 outputs bit-identically. The fuzzed-order CI job runs
+/// must reproduce the seed-0 estimates bit-identically. The fuzzed-order CI job runs
 /// this test binary once per seed.
 #[test]
 fn ci_fuzz_seed_matches_the_deterministic_order() {
     let seed: u64 =
         std::env::var("NEO_EVENT_FUZZ_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0xC0FFEE);
-    assert_eq!(t4_iteration_reports(0), t4_iteration_reports(seed));
-    assert_eq!(t4_server_report(0), t4_server_report(seed));
+    let (cost, decisions) = t4_recordings();
+    assert!(!decisions.is_empty());
+    assert_eq!(
+        render_event_estimates(&cost, &decisions, TieBreak::ById),
+        render_event_estimates(&cost, &decisions, TieBreak::from_seed(seed))
+    );
 }
 
 /// A representative h100_70b (tp = 2) asymmetric decision: a prefill chunk headed for
@@ -164,10 +236,30 @@ fn h100_70b_event_trace_is_pinned() {
     assert_eq!(estimate.exposed_swap_time, 0.00016584533333303952);
 }
 
-/// Engine-level agreement: under identical workloads the two overlap models take
-/// identical scheduling trajectories (same modes, batch sizes, token counts per
-/// iteration) and the event-ordered durations track the closed forms within the pinned
-/// tolerance — never slower, at most 8 % faster in aggregate.
+/// Asserts the pinned tolerance over a run's recorded decisions: the oracle is never
+/// slower than the closed form on any decision, and at most 8 % faster in aggregate.
+fn assert_oracle_agrees(label: &str, cost: &CostModel, decisions: &[Recorded]) {
+    assert!(!decisions.is_empty(), "{label}: nothing was recorded");
+    let mut closed_total = 0.0;
+    let mut event_total = 0.0;
+    for (i, r) in decisions.iter().enumerate() {
+        let closed = closed_form(cost, r).total_time;
+        let event = event_ordered(cost, r, TieBreak::ById).total_time;
+        assert!(event <= closed + 1e-9, "{label} decision {i}: event {event} > closed {closed}");
+        closed_total += closed;
+        event_total += event;
+    }
+    let rel = (closed_total - event_total) / closed_total;
+    assert!(
+        (-1e-9..=0.08).contains(&rel),
+        "{label}: event makespan deviates {:.2}% from the closed forms",
+        rel * 100.0
+    );
+}
+
+/// Engine-level agreement. Each recorded decision is priced exactly as the engine
+/// charged it (checked against the iteration reports), and the oracle tracks those
+/// closed forms within the pinned tolerance.
 #[test]
 fn event_path_agrees_with_closed_form_within_pinned_tolerance() {
     // Workloads sized so each scenario drains: the T4 has far less KV headroom than
@@ -177,83 +269,33 @@ fn event_path_agrees_with_closed_form_within_pinned_tolerance() {
         ("a10g_8b", Scenario::a10g_8b(), 16, 1200),
         ("h100_70b", Scenario::h100_70b(), 16, 1200),
     ] {
-        let run = |model: OverlapModel| {
-            let config = EngineConfig {
-                overlap_model: model,
-                prefix_cache: kv_hierarchy_on(),
-                ..EngineConfig::default()
-            };
-            let mut engine = scenario.engine_with_config(Policy::Neo, config);
-            for id in 0..n_requests {
-                engine.submit(Request::new(id, 0.0, prompt, 24)).unwrap();
-            }
-            let mut reports = Vec::new();
-            while !engine.is_idle() {
-                reports.push(engine.step());
-            }
-            reports
-        };
-        let closed = run(OverlapModel::ClosedForm);
-        let event = run(OverlapModel::EventOrdered);
-        assert_eq!(closed.len(), event.len(), "{label}: iteration counts diverged");
-        let mut closed_total = 0.0;
-        let mut event_total = 0.0;
-        for (c, e) in closed.iter().zip(&event) {
-            // The scheduling trajectory is overlap-model-independent: schedulers see
-            // queues and the profiled cost model, never the charged durations.
-            assert_eq!(c.mode, e.mode, "{label} iter {}", c.iteration);
-            assert_eq!(c.batch_size, e.batch_size, "{label} iter {}", c.iteration);
-            assert_eq!(c.prefill_tokens, e.prefill_tokens, "{label} iter {}", c.iteration);
-            assert_eq!(c.decode_tokens, e.decode_tokens, "{label} iter {}", c.iteration);
-            assert_eq!(c.cpu_offloaded, e.cpu_offloaded, "{label} iter {}", c.iteration);
+        let requests = (0..n_requests).map(|id| Request::new(id, 0.0, prompt, 24));
+        let (cost, reports, decisions) = record_engine_run(&scenario, requests);
+        let busy: Vec<&IterationReport> = reports.iter().filter(|r| !r.idle).collect();
+        assert_eq!(busy.len(), decisions.len(), "{label}: one record per busy iteration");
+        for (report, r) in busy.iter().zip(&decisions) {
+            let charged = closed_form(&cost, r).total_time.max(1e-6);
             assert!(
-                e.duration <= c.duration + 1e-9,
-                "{label} iter {}: event {} > closed {}",
-                c.iteration,
-                e.duration,
-                c.duration
+                (report.duration - charged).abs() <= 1e-9,
+                "{label} iter {}: engine charged {}, recorded decision prices {charged}",
+                report.iteration,
+                report.duration
             );
-            closed_total += c.duration;
-            event_total += e.duration;
         }
-        let rel = (closed_total - event_total) / closed_total;
-        assert!(
-            (-1e-9..=0.08).contains(&rel),
-            "{label}: event makespan deviates {:.2}% from the closed forms",
-            rel * 100.0
-        );
+        assert_oracle_agrees(label, &cost, &decisions);
     }
 }
 
-/// Serving-level agreement: the event-ordered server drains the same workload with the
-/// same completion counts and a makespan within the pinned tolerance of the closed-form
-/// reference.
+/// Serving-level agreement: the decisions of a server draining a burst price within
+/// the pinned tolerance under the oracle.
 #[test]
 fn event_path_serves_the_same_workload_within_tolerance() {
-    let run = |model: OverlapModel| {
-        let config = EngineConfig {
-            overlap_model: model,
-            prefix_cache: kv_hierarchy_on(),
-            ..EngineConfig::default()
-        };
-        let mut server = Server::new(Scenario::a10g_8b().engine_with_config(Policy::Neo, config));
-        for _ in 0..12 {
-            server.submit(0.0, 800, 16).unwrap();
-        }
-        server.run_until_idle()
-    };
-    let closed = run(OverlapModel::ClosedForm);
-    let event = run(OverlapModel::EventOrdered);
-    assert_eq!(closed.completed, event.completed);
-    assert_eq!(closed.completed, 12);
-    let rel = (closed.makespan - event.makespan) / closed.makespan;
-    assert!(
-        (-1e-9..=0.08).contains(&rel),
-        "event makespan {} vs closed {} ({:.2}%)",
-        event.makespan,
-        closed.makespan,
-        rel * 100.0
-    );
-    let (closed_ttft, event_ttft) = (closed.ttft.unwrap(), event.ttft.unwrap());
-    assert!((closed_ttft.mean - event_ttft.mean).abs() / closed_ttft.mean < 0.08);
+    let (engine, log) = recording_engine(&Scenario::a10g_8b());
+    let cost = engine.cost_model().clone();
+    let mut server = Server::new(engine);
+    for _ in 0..12 {
+        server.submit(0.0, 800, 16).unwrap();
+    }
+    assert_eq!(server.run_until_idle().completed, 12);
+    assert_oracle_agrees("a10g_8b server", &cost, &take(&log));
 }
