@@ -117,8 +117,7 @@ fn bench_matvec_threads(c: &mut Criterion) {
     for &threads in &WIDTHS {
         let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, _| {
-            let mut y = vec![0.0f32; rows];
-            pool.install(|| b.iter(|| linear.forward_into(&x, &mut y)));
+            pool.install(|| b.iter(|| linear.forward(&x)));
         });
     }
     group.finish();

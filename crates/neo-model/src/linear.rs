@@ -3,20 +3,34 @@
 //! Only what a LLaMa block needs: a row-major dense matrix–vector/matrix product
 //! (the "linear stage" of the paper), RMSNorm, and the SiLU activation used by SwiGLU.
 //!
-//! Matrix–vector products parallelise across output-row chunks sized from the rayon
-//! pool width ([`rayon::current_num_threads`]); batched products pick between
-//! batch-level parallelism (many inputs: one steal-unit per input row, serial matvec
-//! inside) and matvec-level parallelism (few inputs: sequential over rows, each matvec
-//! fanned out), so a single decode-step matvec and a wide prefill batch both fill the
-//! pool without nesting parallel regions. Products below a minimum multiply-add count
-//! stay serial outright — small models' per-token projections must never pay a thread
-//! spawn. Every path computes each row's dot product in the same order, so results are
-//! bit-identical regardless of pool width or which branch ran.
+//! [`Linear`] has one kernel, a token-lane tile: 4 output rows against up to 8 inputs,
+//! the inputs transposed into a small `[cols][lanes]` buffer so each weight element is
+//! loaded once and multiplied into every input of the tile. A batch therefore reads each
+//! weight matrix once, however many tokens it carries — the amortisation NEO's batched
+//! linear stage relies on. A single vector runs the same tile one lane wide, where the
+//! row tile still gives the adder independent chains to overlap. There is no
+//! batch-level versus matvec-level choice: every product is the same tile.
+//!
+//! Every output is still one dot product summed in column order from `-0.0`, exactly as
+//! `Iterator::sum` does for `f32`, so results are bit-identical to
+//! `row.iter().zip(x).map(|(w, v)| w * v).sum()` whatever the batch size, tile position,
+//! pool width or chunking.
+//!
+//! Products of at least 64k multiply-adds fan out over output-row chunks sized from the
+//! rayon pool width ([`rayon::current_num_threads`]); each chunk runs the tile over all
+//! inputs. Smaller products stay serial outright — small models' per-token projections
+//! must never pay a thread spawn.
 
 use rayon::prelude::*;
 
-/// Minimum output rows per parallel matvec chunk; below this the dot products are too
-/// cheap to amortize a steal-unit claim (let alone a spawn).
+/// Output rows per tile: each tile row is an independent accumulator chain.
+const TILE_ROWS: usize = 4;
+
+/// Inputs per tile of a batched product; a single vector runs a one-lane tile.
+const TILE_LANES: usize = 8;
+
+/// Minimum output rows per parallel chunk; below this the dot products are too cheap to
+/// amortize a steal-unit claim (let alone a spawn). A multiple of [`TILE_ROWS`].
 const MIN_ROWS_PER_CHUNK: usize = 16;
 
 /// Minimum multiply-adds before a product fans out at all. Spawning scoped workers
@@ -30,9 +44,27 @@ const MIN_PARALLEL_ELEMS: usize = 64 * 1024;
 /// Steal-units targeted per pool worker, matching the pool's own unit granularity.
 const CHUNKS_PER_THREAD: usize = 4;
 
-/// Output-row chunk size for a parallel matvec over `rows` output rows.
-fn matvec_chunk_rows(rows: usize) -> usize {
-    rows.div_ceil(rayon::current_num_threads() * CHUNKS_PER_THREAD).max(MIN_ROWS_PER_CHUNK)
+/// Output-row chunk size for a parallel product over `rows` output rows: whole tiles
+/// only, so only the last chunk can hold a partial tile.
+fn chunk_rows(rows: usize) -> usize {
+    rows.div_ceil(rayon::current_num_threads() * CHUNKS_PER_THREAD)
+        .max(MIN_ROWS_PER_CHUNK)
+        .next_multiple_of(TILE_ROWS)
+}
+
+/// Regroups the `n` inputs of `x` (`[n, cols]`) into tiles of `L` lanes: tile `g` is
+/// `cols` entries, entry `c` holding column `c` of inputs `g*L .. g*L + L`. Lanes past
+/// the last input stay zero; their outputs are never read.
+fn pack_lanes<const L: usize>(x: &[f32], cols: usize) -> Vec<[f32; L]> {
+    let n = x.len() / cols;
+    let mut packed = vec![[0.0f32; L]; n.div_ceil(L) * cols];
+    for (i, input) in x.chunks_exact(cols).enumerate() {
+        let tile = &mut packed[(i / L) * cols..(i / L + 1) * cols];
+        for (lanes, &v) in tile.iter_mut().zip(input) {
+            lanes[i % L] = v;
+        }
+    }
+    packed
 }
 
 /// A dense, row-major weight matrix computing `y = W x` (`W` is `[rows, cols]`).
@@ -65,75 +97,117 @@ impl Linear {
         self.cols
     }
 
-    /// Computes `y = W x` for a single input vector.
+    /// Computes `y = W x` for a single input vector: [`Linear::forward_batch`] with one
+    /// input.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != cols`.
     pub fn forward(&self, x: &[f32]) -> Vec<f32> {
         assert_eq!(x.len(), self.cols, "input vector has wrong length");
-        let mut y = vec![0.0f32; self.rows];
-        self.forward_into(x, &mut y);
-        y
-    }
-
-    /// Computes `y = W x` into a caller-provided buffer, fanning the output rows out
-    /// across the rayon pool in pool-width-sized row chunks (the result is
-    /// bit-identical to the serial loop: each row's dot product is unchanged).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != cols` or `y.len() != rows`.
-    pub fn forward_into(&self, x: &[f32], y: &mut [f32]) {
-        assert_eq!(x.len(), self.cols, "input vector has wrong length");
-        assert_eq!(y.len(), self.rows, "output vector has wrong length");
-        if self.rows * self.cols < MIN_PARALLEL_ELEMS {
-            return self.forward_rows_serial(x, 0, y);
-        }
-        let chunk_rows = matvec_chunk_rows(self.rows);
-        y.par_chunks_mut(chunk_rows).enumerate().for_each(|(c, out_chunk)| {
-            self.forward_rows_serial(x, c * chunk_rows, out_chunk);
-        });
-    }
-
-    /// Serial dot products for output rows `[first_row, first_row + y.len())`.
-    fn forward_rows_serial(&self, x: &[f32], first_row: usize, y: &mut [f32]) {
-        for (dr, out) in y.iter_mut().enumerate() {
-            let r = first_row + dr;
-            let row = &self.weight[r * self.cols..(r + 1) * self.cols];
-            *out = row.iter().zip(x).map(|(w, v)| w * v).sum();
-        }
+        self.forward_batch(x)
     }
 
     /// Computes `Y = X Wᵀ` for a batch of `n` row vectors laid out `[n, cols]`, returning
     /// `[n, rows]`.
     ///
-    /// With at least one input row per pool worker, parallelism is batch-level (one
-    /// steal-unit per input, serial matvec inside); with fewer inputs than workers each
-    /// matvec is fanned out over its output rows instead, so small decode batches still
-    /// use the whole pool. Both paths produce bit-identical results.
+    /// One weight pass serves the whole batch: the token-lane tile reads each weight
+    /// element once for up to 8 inputs, so a decode step that stacks every sequence's
+    /// row reads each projection once per step, not once per sequence. Above 64k
+    /// multiply-adds the output rows are split into chunks across the pool, each chunk
+    /// running the tile over all inputs. Every output is bit-identical to a serial
+    /// column-order dot product.
     ///
     /// # Panics
     ///
     /// Panics if `x.len()` is not a multiple of `cols`.
     pub fn forward_batch(&self, x: &[f32]) -> Vec<f32> {
         assert!(x.len() % self.cols == 0, "batch buffer must contain whole rows");
-        let n = x.len() / self.cols;
-        let mut y = vec![0.0f32; n * self.rows];
-        if n * self.rows * self.cols < MIN_PARALLEL_ELEMS {
-            for (out, row) in y.chunks_mut(self.rows).zip(x.chunks(self.cols)) {
-                self.forward_rows_serial(row, 0, out);
-            }
-        } else if n >= rayon::current_num_threads() {
-            y.par_chunks_mut(self.rows).zip(x.par_chunks(self.cols)).for_each(|(out, row)| {
-                self.forward_rows_serial(row, 0, out);
-            });
-        } else {
-            for (out, row) in y.chunks_mut(self.rows).zip(x.chunks(self.cols)) {
-                self.forward_into(row, out);
+        match x.len() / self.cols {
+            0 => Vec::new(),
+            1 => self.rows_major::<1>(x, 1),
+            n => {
+                // The tile fills output rows for all inputs; transpose to `[n, rows]`.
+                let by_row = self.rows_major::<TILE_LANES>(x, n);
+                let mut y = vec![0.0f32; n * self.rows];
+                for (r, outs) in by_row.chunks_exact(n).enumerate() {
+                    for (i, &v) in outs.iter().enumerate() {
+                        y[i * self.rows + r] = v;
+                    }
+                }
+                y
             }
         }
-        y
+    }
+
+    /// `W x` for the `n` inputs of `x`, laid out output-row major (`[rows, n]`), tiled
+    /// `L` inputs at a time.
+    fn rows_major<const L: usize>(&self, x: &[f32], n: usize) -> Vec<f32> {
+        let packed = pack_lanes::<L>(x, self.cols);
+        let mut out = vec![0.0f32; self.rows * n];
+        if n * self.rows * self.cols < MIN_PARALLEL_ELEMS {
+            self.rows_into(&packed, n, 0, &mut out);
+        } else {
+            let chunk = chunk_rows(self.rows);
+            out.par_chunks_mut(chunk * n).enumerate().for_each(|(c, out_chunk)| {
+                self.rows_into(&packed, n, c * chunk, out_chunk);
+            });
+        }
+        out
+    }
+
+    /// Fills `out` (`[k, n]`, output-row major) with output rows
+    /// `first_row .. first_row + k` for all `n` packed inputs, one row tile at a time so
+    /// the tile's weights stay in L1 while every lane tile streams past them.
+    fn rows_into<const L: usize>(
+        &self,
+        packed: &[[f32; L]],
+        n: usize,
+        first_row: usize,
+        out: &mut [f32],
+    ) {
+        for (t, tile_out) in out.chunks_mut(TILE_ROWS * n).enumerate() {
+            let row = first_row + t * TILE_ROWS;
+            let tile_rows = tile_out.len() / n;
+            for (g, lanes) in packed.chunks_exact(self.cols).enumerate() {
+                let live = (n - g * L).min(L);
+                let mut store = |k: usize, acc: &[f32; L]| {
+                    tile_out[k * n + g * L..][..live].copy_from_slice(&acc[..live]);
+                };
+                if tile_rows == TILE_ROWS {
+                    for (k, acc) in self.tile::<TILE_ROWS, L>(row, lanes).iter().enumerate() {
+                        store(k, acc);
+                    }
+                } else {
+                    for k in 0..tile_rows {
+                        store(k, &self.tile::<1, L>(row + k, lanes)[0]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The kernel: dot products of output rows `row .. row + R` with the `L` inputs
+    /// packed in `lanes` (`[cols][L]`). Each weight element is loaded once and used for
+    /// every lane; each of the `R × L` accumulators starts at `-0.0` and adds its
+    /// products in column order, as `Iterator::sum` does.
+    fn tile<const R: usize, const L: usize>(
+        &self,
+        row: usize,
+        lanes: &[[f32; L]],
+    ) -> [[f32; L]; R] {
+        let cols = self.cols;
+        let w: [&[f32]; R] = std::array::from_fn(|k| &self.weight[(row + k) * cols..][..cols]);
+        let mut acc = [[-0.0f32; L]; R];
+        for (c, x) in lanes[..cols].iter().enumerate() {
+            for (acc_row, w_row) in acc.iter_mut().zip(&w) {
+                let wc = w_row[c];
+                for (a, v) in acc_row.iter_mut().zip(x) {
+                    *a += wc * v;
+                }
+            }
+        }
+        acc
     }
 }
 
@@ -288,6 +362,37 @@ mod tests {
             // Bit-identical: chunking never reorders a row's dot product.
             assert!(y1.iter().zip(&y).all(|(a, c)| a.to_bits() == c.to_bits()));
             assert!(b1.iter().zip(&b).all(|(a, c)| a.to_bits() == c.to_bits()));
+        }
+    }
+
+    #[test]
+    fn tile_edges_match_serial_sum() {
+        // Row counts around the 4-row tile (tails of 1-3 rows), batches spanning two full
+        // 8-lane tiles plus a tail, and an all-zero input whose products are all `-0.0`
+        // for negative weights: every output must equal the serial `.sum()` bit for bit.
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+        for (rows, cols) in [(1, 1), (3, 5), (4, 7), (9, 16), (13, 33)] {
+            let weight: Vec<f32> =
+                (0..rows * cols).map(|i| ((i as f32 * 0.61).sin() - 0.3) * 0.5).collect();
+            let w = Linear::new(rows, cols, weight.clone());
+            for batch in [1usize, 2, 7, 8, 9, 13, 16, 19] {
+                let mut x: Vec<f32> = (0..batch * cols).map(|i| (i as f32 * 0.37).cos()).collect();
+                x[..cols].iter_mut().for_each(|v| *v = 0.0);
+                let expected: Vec<f32> = x
+                    .chunks(cols)
+                    .flat_map(|x_row| {
+                        weight
+                            .chunks(cols)
+                            .map(move |row| row.iter().zip(x_row).map(|(w, v)| w * v).sum::<f32>())
+                    })
+                    .collect();
+                let got = pool.install(|| w.forward_batch(&x));
+                assert!(
+                    got.iter().zip(&expected).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{rows}x{cols} batch {batch}"
+                );
+                assert_eq!(got.len(), expected.len());
+            }
         }
     }
 

@@ -13,8 +13,8 @@ use neo_kvcache::{Device, KvCacheError};
 use neo_sim::ModelDesc;
 
 use crate::cache::PagedKvCache;
-use crate::linear::{add_inplace, swiglu};
-use crate::weights::ModelWeights;
+use crate::linear::{add_inplace, swiglu, RmsNorm};
+use crate::weights::{LayerWeights, ModelWeights};
 
 /// Errors returned by model forward passes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -144,51 +144,47 @@ impl Model {
     /// functional analogue of NEO's batch-0 / batch-1 split). Returns one logit vector per
     /// input pair, in order.
     ///
+    /// The linear stage is batched: each projection (and the LM head) is one
+    /// [`Linear::forward_batch`](crate::linear::Linear::forward_batch) over the stacked
+    /// rows of all sequences, so every weight matrix is read once per step rather than
+    /// once per sequence. RMSNorm, RoPE, KV writes and attention stay per sequence, and
+    /// each sequence's logits are bit-identical to decoding it alone with
+    /// [`Model::decode`].
+    ///
     /// # Errors
     ///
-    /// Returns the first error encountered; sequences processed before the failure keep
-    /// their appended token.
+    /// Returns [`ModelError::TokenOutOfRange`] or [`ModelError::Cache`] for an unknown
+    /// sequence; both are checked for the whole batch before any KV slot is reserved, so
+    /// such an error leaves the cache untouched. A cache that runs out of memory while the
+    /// slots are reserved returns [`ModelError::Cache`] with the sequences before the
+    /// failing one still holding their reserved, unwritten slot.
     pub fn decode_batch(
         &self,
         items: &[(u64, u32)],
         cache: &mut PagedKvCache,
     ) -> Result<Vec<Vec<f32>>, ModelError> {
-        let desc = self.desc().clone();
-        let hd = desc.head_dim;
-        let q_dim = desc.n_heads * hd;
-        let kv_dim = desc.n_kv_heads * hd;
+        let desc = self.desc();
+        let q_dim = desc.n_heads * desc.head_dim;
 
-        // Reserve the new slot for every sequence first.
-        let mut positions = Vec::with_capacity(items.len());
+        // Validate the whole batch, then reserve the new slot for every sequence.
         for &(seq_id, token) in items {
             self.check_tokens(&[token])?;
-            let pos = cache.num_tokens(seq_id)?;
+            cache.num_tokens(seq_id)?;
+        }
+        let mut rows = Vec::with_capacity(items.len());
+        for &(seq_id, _) in items {
+            rows.push((seq_id, cache.num_tokens(seq_id)?));
             cache.append(seq_id, 1)?;
-            positions.push(pos);
         }
 
-        // Residual streams, one per sequence.
-        let mut xs: Vec<Vec<f32>> =
-            items.iter().map(|&(_, token)| self.weights.embedding(token).to_vec()).collect();
+        // Residual streams, one row per sequence.
+        let mut xs = self.embed(items.iter().map(|&(_, token)| token));
 
         for (layer_idx, layer) in self.weights.layers.iter().enumerate() {
-            // Linear stage (per sequence) + KV write.
-            let mut queries: Vec<Vec<f32>> = Vec::with_capacity(items.len());
-            for (i, &(seq_id, _)) in items.iter().enumerate() {
-                let h = layer.input_norm.forward(&xs[i]);
-                let mut q = layer.wq.forward(&h);
-                let mut k = layer.wk.forward(&h);
-                let v = layer.wv.forward(&h);
-                debug_assert_eq!(q.len(), q_dim);
-                debug_assert_eq!(k.len(), kv_dim);
-                self.rope.apply_row(&mut q, positions[i]);
-                self.rope.apply_row(&mut k, positions[i]);
-                cache.write_kv(layer_idx, seq_id, positions[i], &k, &v)?;
-                queries.push(q);
-            }
+            let queries = self.qkv_stage(layer_idx, layer, &xs, &rows, cache)?;
 
             // Attention stage: one kernel invocation per device group.
-            let mut attn_out: Vec<Vec<f32>> = vec![vec![0.0; q_dim]; items.len()];
+            let mut attn_out = vec![0.0f32; items.len() * q_dim];
             for device in [Device::Gpu, Device::Cpu] {
                 let group: Vec<usize> = (0..items.len())
                     .filter(|&i| cache.device_of(items[i].0).map(|d| d == device).unwrap_or(false))
@@ -200,8 +196,8 @@ impl Model {
                 let mut seq_lens = Vec::with_capacity(group.len());
                 let mut tables = Vec::with_capacity(group.len());
                 for &i in &group {
-                    q_flat.extend_from_slice(&queries[i]);
-                    seq_lens.push(positions[i] + 1);
+                    q_flat.extend_from_slice(&queries[i * q_dim..(i + 1) * q_dim]);
+                    seq_lens.push(rows[i].1 + 1);
                     tables.push(cache.block_table(items[i].0)?);
                 }
                 let mut out_flat = vec![0.0f32; group.len() * q_dim];
@@ -214,28 +210,20 @@ impl Model {
                     &mut out_flat,
                 );
                 for (gi, &i) in group.iter().enumerate() {
-                    attn_out[i].copy_from_slice(&out_flat[gi * q_dim..(gi + 1) * q_dim]);
+                    attn_out[i * q_dim..(i + 1) * q_dim]
+                        .copy_from_slice(&out_flat[gi * q_dim..(gi + 1) * q_dim]);
                 }
             }
 
-            // Output projection + FFN (per sequence).
-            for (i, x) in xs.iter_mut().enumerate() {
-                let proj = layer.wo.forward(&attn_out[i]);
-                add_inplace(x, &proj);
-                let h2 = layer.post_norm.forward(x);
-                let gate = layer.w_gate.forward(&h2);
-                let up = layer.w_up.forward(&h2);
-                let ffn = layer.w_down.forward(&swiglu(&gate, &up));
-                add_inplace(x, &ffn);
-            }
+            Self::ffn_stage(layer, &mut xs, &attn_out);
         }
 
-        Ok(xs.iter().map(|x| self.logits(x)).collect())
+        Ok(self.logits(&xs).chunks_exact(desc.vocab).map(<[f32]>::to_vec).collect())
     }
 
     /// Runs the transformer over a chunk of `tokens` of `seq_id` starting at position
     /// `start_pos` (their KV slots must already be allocated) and returns the final hidden
-    /// state of the last token.
+    /// state of the last token. Each projection is one batched product over the chunk.
     fn forward_chunk(
         &self,
         seq_id: u64,
@@ -243,30 +231,17 @@ impl Model {
         start_pos: usize,
         cache: &mut PagedKvCache,
     ) -> Result<Vec<f32>, ModelError> {
-        let desc = self.desc().clone();
         let n = tokens.len();
-        let hd = desc.head_dim;
-        let q_dim = desc.n_heads * hd;
+        let hidden = self.desc().hidden;
+        let q_dim = self.desc().n_heads * self.desc().head_dim;
         let device = cache.device_of(seq_id)?;
+        let rows: Vec<(u64, usize)> = (start_pos..start_pos + n).map(|p| (seq_id, p)).collect();
 
         // Residual stream for every token in the chunk.
-        let mut xs: Vec<Vec<f32>> =
-            tokens.iter().map(|&t| self.weights.embedding(t).to_vec()).collect();
+        let mut xs = self.embed(tokens.iter().copied());
 
         for (layer_idx, layer) in self.weights.layers.iter().enumerate() {
-            // Linear stage: QKV projections, RoPE, cache writes.
-            let mut q_flat = Vec::with_capacity(n * q_dim);
-            for (i, x) in xs.iter().enumerate() {
-                let pos = start_pos + i;
-                let h = layer.input_norm.forward(x);
-                let mut q = layer.wq.forward(&h);
-                let mut k = layer.wk.forward(&h);
-                let v = layer.wv.forward(&h);
-                self.rope.apply_row(&mut q, pos);
-                self.rope.apply_row(&mut k, pos);
-                cache.write_kv(layer_idx, seq_id, pos, &k, &v)?;
-                q_flat.extend_from_slice(&q);
-            }
+            let q_flat = self.qkv_stage(layer_idx, layer, &xs, &rows, cache)?;
 
             // Attention stage over the paged cache.
             let ctx_len = start_pos + n;
@@ -293,25 +268,62 @@ impl Model {
                 );
             }
 
-            // Output projection + FFN.
-            for (i, x) in xs.iter_mut().enumerate() {
-                let proj = layer.wo.forward(&attn_flat[i * q_dim..(i + 1) * q_dim]);
-                add_inplace(x, &proj);
-                let h2 = layer.post_norm.forward(x);
-                let gate = layer.w_gate.forward(&h2);
-                let up = layer.w_up.forward(&h2);
-                let ffn = layer.w_down.forward(&swiglu(&gate, &up));
-                add_inplace(x, &ffn);
-            }
+            Self::ffn_stage(layer, &mut xs, &attn_flat);
         }
 
-        Ok(xs.pop().expect("chunk is non-empty"))
+        Ok(xs.split_off((n - 1) * hidden))
     }
 
-    fn logits(&self, hidden: &[f32]) -> Vec<f32> {
-        let normed = self.weights.final_norm.forward(hidden);
-        self.weights.lm_head.forward(&normed)
+    /// Stacked embedding rows of `tokens`, `[n, hidden]`.
+    fn embed(&self, tokens: impl Iterator<Item = u32>) -> Vec<f32> {
+        tokens.flat_map(|t| self.weights.embedding(t).iter().copied()).collect()
     }
+
+    /// Linear stage before attention for the stacked residual rows `xs`: RMSNorm per row,
+    /// one batched product per Q/K/V projection, then RoPE and the KV write of row `i`
+    /// at `rows[i] = (seq_id, position)`. Returns the stacked queries.
+    fn qkv_stage(
+        &self,
+        layer_idx: usize,
+        layer: &LayerWeights,
+        xs: &[f32],
+        rows: &[(u64, usize)],
+        cache: &mut PagedKvCache,
+    ) -> Result<Vec<f32>, ModelError> {
+        let h = norm_rows(&layer.input_norm, xs);
+        let mut q = layer.wq.forward_batch(&h);
+        let mut k = layer.wk.forward_batch(&h);
+        let v = layer.wv.forward_batch(&h);
+        let (q_dim, kv_dim) = (layer.wq.rows(), layer.wk.rows());
+        for (i, &(seq_id, pos)) in rows.iter().enumerate() {
+            let q_row = &mut q[i * q_dim..(i + 1) * q_dim];
+            let k_row = &mut k[i * kv_dim..(i + 1) * kv_dim];
+            self.rope.apply_row(q_row, pos);
+            self.rope.apply_row(k_row, pos);
+            cache.write_kv(layer_idx, seq_id, pos, k_row, &v[i * kv_dim..(i + 1) * kv_dim])?;
+        }
+        Ok(q)
+    }
+
+    /// Output projection and SwiGLU FFN for the stacked rows, each a batched product,
+    /// added into the residual stream `xs` along with the attention output `attn`.
+    fn ffn_stage(layer: &LayerWeights, xs: &mut [f32], attn: &[f32]) {
+        add_inplace(xs, &layer.wo.forward_batch(attn));
+        let h2 = norm_rows(&layer.post_norm, xs);
+        let gate = layer.w_gate.forward_batch(&h2);
+        let up = layer.w_up.forward_batch(&h2);
+        add_inplace(xs, &layer.w_down.forward_batch(&swiglu(&gate, &up)));
+    }
+
+    /// Logits of the stacked hidden rows, `[n, vocab]`: one LM-head product.
+    fn logits(&self, hidden: &[f32]) -> Vec<f32> {
+        self.weights.lm_head.forward_batch(&norm_rows(&self.weights.final_norm, hidden))
+    }
+}
+
+/// Applies `norm` to every row of the stacked buffer `xs`.
+fn norm_rows(norm: &RmsNorm, xs: &[f32]) -> Vec<f32> {
+    xs.chunks_exact(norm.dim()).flat_map(|x| norm.forward(x)).collect()
 }
 
 #[cfg(test)]
@@ -403,8 +415,31 @@ mod tests {
         let solo1 = model.decode(1, 8, &mut solo_cache).unwrap();
         let solo2 = model.decode(2, 13, &mut solo_cache).unwrap();
 
-        assert_close(&batched[0], &solo1, 1e-3);
-        assert_close(&batched[1], &solo2, 1e-3);
+        // Same per-output reduction order and same per-sequence attention partitioning:
+        // batching changes no bit.
+        for (b, s) in [(&batched[0], &solo1), (&batched[1], &solo2)] {
+            assert_eq!(b.len(), s.len());
+            assert!(b.iter().zip(s).all(|(x, y)| x.to_bits() == y.to_bits()));
+        }
+    }
+
+    #[test]
+    fn failed_decode_batch_reserves_no_slot() {
+        // A bad token or unknown sequence late in the batch must not leave the earlier
+        // sequences with a reserved but never-written KV slot.
+        let (model, mut cache) = setup();
+        model.prefill(1, &[1, 2, 3], &mut cache, Device::Gpu).unwrap();
+        model.prefill(2, &[4, 5], &mut cache, Device::Cpu).unwrap();
+        let vocab = model.desc().vocab as u32;
+
+        let err = model.decode_batch(&[(1, 5), (2, vocab)], &mut cache).unwrap_err();
+        assert!(matches!(err, ModelError::TokenOutOfRange { .. }));
+        assert_eq!(cache.num_tokens(1).unwrap(), 3);
+        assert_eq!(cache.num_tokens(2).unwrap(), 2);
+
+        let err = model.decode_batch(&[(1, 5), (99, 6)], &mut cache).unwrap_err();
+        assert!(matches!(err, ModelError::Cache(KvCacheError::UnknownSequence(99))));
+        assert_eq!(cache.num_tokens(1).unwrap(), 3);
     }
 
     #[test]

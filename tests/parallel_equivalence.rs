@@ -89,27 +89,29 @@ fn random_cfg(heads_pow: u32, group_pow: u32) -> AttentionConfig {
 
 /// Deterministic companion to the matvec proptest below: the random shapes there sit
 /// under `neo-model`'s serial-work cutoff, so this exercises a matrix big enough
-/// (512×256 single, plus an 8-row batch) to take the parallel chunked paths, at every
-/// width.
+/// (512×256 single, plus batches of 8 and 13 — one full 8-lane tile, then a full tile
+/// and a tail) to take the parallel chunked paths, at every width.
 #[test]
 fn large_matvec_parallel_path_is_bit_identical() {
-    let (rows, cols, batch) = (512usize, 256usize, 8usize);
-    let mut rng = StdRng::seed_from_u64(99);
-    let weight: Vec<f32> = (0..rows * cols).map(|_| rng.gen_range(-0.1..0.1)).collect();
-    let x: Vec<f32> = (0..batch * cols).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    let linear = Linear::new(rows, cols, weight.clone());
-    let mut expected = vec![0.0f32; batch * rows];
-    for (bi, x_row) in x.chunks(cols).enumerate() {
-        for r in 0..rows {
-            expected[bi * rows + r] =
-                weight[r * cols..(r + 1) * cols].iter().zip(x_row).map(|(w, v)| w * v).sum();
+    let (rows, cols) = (512usize, 256usize);
+    for batch in [8usize, 13] {
+        let mut rng = StdRng::seed_from_u64(99);
+        let weight: Vec<f32> = (0..rows * cols).map(|_| rng.gen_range(-0.1..0.1)).collect();
+        let x: Vec<f32> = (0..batch * cols).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let linear = Linear::new(rows, cols, weight.clone());
+        let mut expected = vec![0.0f32; batch * rows];
+        for (bi, x_row) in x.chunks(cols).enumerate() {
+            for r in 0..rows {
+                expected[bi * rows + r] =
+                    weight[r * cols..(r + 1) * cols].iter().zip(x_row).map(|(w, v)| w * v).sum();
+            }
         }
-    }
-    for threads in WIDTHS {
-        let (single, batched) =
-            pool(threads).install(|| (linear.forward(&x[..cols]), linear.forward_batch(&x)));
-        assert_bits_eq(&single, &expected[..rows], "large matvec single");
-        assert_bits_eq(&batched, &expected, "large matvec batch");
+        for threads in WIDTHS {
+            let (single, batched) =
+                pool(threads).install(|| (linear.forward(&x[..cols]), linear.forward_batch(&x)));
+            assert_bits_eq(&single, &expected[..rows], "large matvec single");
+            assert_bits_eq(&batched, &expected, "large matvec batch");
+        }
     }
 }
 
@@ -196,12 +198,13 @@ proptest! {
     }
 
     /// The parallel matvec (single input and batched) is bit-identical across pool
-    /// widths *and* to a hand-rolled serial dot-product loop.
+    /// widths *and* to a hand-rolled serial dot-product loop. Batches up to 19 span two
+    /// full 8-lane tiles plus a tail; row counts cover the 4-row tile's tails.
     #[test]
     fn matvec_is_width_invariant(
         rows in 1usize..96,
         cols in 1usize..48,
-        batch in 1usize..6,
+        batch in 1usize..20,
         seed in 0u64..1000,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);

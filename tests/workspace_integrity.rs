@@ -45,3 +45,24 @@ fn ci_runs_the_lint_job() {
         "the lint job must run neo-lint in deny mode"
     );
 }
+
+/// The functional model must stay exercised end to end in CI: a `perfbench-smoke`
+/// job that runs perfbench's tests and a short `cpu_decode` run, which exits 1 when
+/// the GPU/CPU twin sequences diverge or the attention kernel drifts.
+#[test]
+fn ci_runs_the_perfbench_smoke_job() {
+    let ci = concat!(env!("CARGO_MANIFEST_DIR"), "/../../.github/workflows/ci.yml");
+    let yaml = std::fs::read_to_string(ci).expect("read .github/workflows/ci.yml");
+    assert!(yaml.contains("\n  perfbench-smoke:"), "ci.yml must define a `perfbench-smoke` job");
+    assert!(
+        yaml.contains("cargo test --manifest-path perfbench/Cargo.toml"),
+        "the perfbench-smoke job must run perfbench's tests"
+    );
+    assert!(
+        yaml.contains(
+            "--manifest-path perfbench/Cargo.toml -- --workload cpu_decode --seed 1 \
+             --seconds 1 --trace 1"
+        ),
+        "the perfbench-smoke job must run a traced cpu_decode smoke"
+    );
+}
