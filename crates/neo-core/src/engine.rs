@@ -11,7 +11,7 @@
 //! comparisons only reflect scheduling differences — mirroring how the paper implements
 //! FastDecode+ on top of NEO's own runtime.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use neo_kvcache::manager::{KvCacheConfig, KvCacheManager};
 use neo_kvcache::{expand, Device, TokenRun};
@@ -83,6 +83,8 @@ pub struct Engine {
     disk_run: Vec<u64>,
     prefill_device: BTreeMap<u64, Device>,
     completed: Vec<Request>,
+    /// Ids of `completed`, for the duplicate-id check in [`Engine::submit`].
+    completed_ids: BTreeSet<u64>,
     iterations: u64,
     total_decode_tokens: u64,
     total_prefill_tokens: u64,
@@ -151,6 +153,7 @@ impl Engine {
             disk_run: Vec::new(),
             prefill_device: BTreeMap::new(),
             completed: Vec::new(),
+            completed_ids: BTreeSet::new(),
             iterations: 0,
             total_decode_tokens: 0,
             total_prefill_tokens: 0,
@@ -188,8 +191,7 @@ impl Engine {
     /// ids are a caller bug, not an admission outcome.
     pub fn submit(&mut self, request: Request) -> Result<(), AdmitError> {
         assert!(
-            !self.requests.contains_key(&request.id)
-                && !self.completed.iter().any(|r| r.id == request.id),
+            !self.requests.contains_key(&request.id) && !self.completed_ids.contains(&request.id),
             "duplicate request id {}",
             request.id
         );
@@ -698,6 +700,7 @@ impl Engine {
         self.release_execution_state(id);
         self.waiting.retain(|&x| x != id);
         if let Some(r) = self.requests.remove(&id) {
+            self.completed_ids.insert(id);
             self.completed.push(r);
         }
     }
@@ -825,7 +828,13 @@ mod tests {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _ = e.submit(Request::new(1, 0.0, 10, 5));
         }));
-        assert!(result.is_err());
+        assert!(result.is_err(), "a live id is refused");
+        e.run_to_completion(10_000);
+        assert_eq!(e.completed().len(), 1);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = e.submit(Request::new(1, 0.0, 10, 5));
+        }));
+        assert!(result.is_err(), "a completed id is refused");
     }
 
     #[test]

@@ -12,7 +12,12 @@
 //!   cached prefix (refcount bump, copy-on-write for partial tail blocks) and skip
 //!   re-prefilling it. Index-only blocks (refcount 1) are *evictable*: they are counted
 //!   as free capacity and reclaimed LRU-first the moment a real allocation needs room,
-//!   so with zero sharing the cache is accounting-invisible.
+//!   so with zero sharing the cache is accounting-invisible. Neither needs a tree walk:
+//!   after every GPU refcount change on an indexed block (adoption and insertion
+//!   retains, GPU frees, swaps off the GPU) the manager re-derives that block's pin
+//!   from the pool ([`PrefixIndex::set_pinned`], O(log n)), and the index keeps the
+//!   evictable count (read in O(1) by every free-space query) and the LRU order of
+//!   evictable leaves (each eviction O(log n)) current.
 //! * a **disk tier** ([`Device::Disk`]): a third pool sequences can be demoted to when
 //!   the CPU cache fills; parked sequences cannot decode until promoted back.
 
@@ -176,6 +181,11 @@ impl KvCacheManager {
         self.prefix.as_ref().map(|p| p.blocks()).unwrap_or_default()
     }
 
+    /// The shared-prefix index, when the cache is enabled.
+    pub fn prefix_index(&self) -> Option<&PrefixIndex> {
+        self.prefix.as_ref()
+    }
+
     /// Ids of all tracked sequences, in ascending order.
     pub fn sequence_ids(&self) -> Vec<u64> {
         let mut ids: Vec<u64> = self.seqs.keys().copied().collect();
@@ -219,13 +229,19 @@ impl KvCacheManager {
     }
 
     /// GPU blocks held only by the prefix index (refcount 1): reclaimable on demand, so
-    /// they count as free capacity everywhere the scheduler looks.
+    /// they count as free capacity everywhere the scheduler looks. O(1).
     fn evictable_gpu_blocks(&self) -> usize {
-        match &self.prefix {
-            Some(p) => {
-                p.blocks().into_iter().filter(|&b| matches!(self.gpu.ref_count(b), Ok(1))).count()
+        self.prefix.as_ref().map_or(0, PrefixIndex::unpinned_len)
+    }
+
+    /// Re-derives the index's pin on each of `blocks` from its GPU refcount: a block is
+    /// pinned unless the index holds its only reference. Call after every GPU refcount
+    /// change that may touch an indexed block; unindexed blocks are skipped.
+    fn sync_pins(&mut self, blocks: &[usize]) {
+        if let Some(prefix) = self.prefix.as_mut() {
+            for &b in blocks {
+                prefix.set_pinned(b, !matches!(self.gpu.ref_count(b), Ok(1)));
             }
-            None => 0,
         }
     }
 
@@ -238,27 +254,15 @@ impl KvCacheManager {
     /// are free or nothing evictable remains.
     fn ensure_gpu_free(&mut self, n_blocks: usize) {
         let bs = self.config.block_size;
-        loop {
-            if self.gpu.free_tokens() / bs >= n_blocks {
+        while self.gpu.free_tokens() / bs < n_blocks {
+            let Some(block) = self.prefix.as_mut().and_then(PrefixIndex::evict_lru) else {
                 return;
-            }
-            let evicted = {
-                let gpu = &self.gpu;
-                match self.prefix.as_mut() {
-                    Some(prefix) => prefix.evict_lru(|b| matches!(gpu.ref_count(b), Ok(1))),
-                    None => None,
-                }
             };
-            match evicted {
-                // The eviction callback admits only ref_count == 1 blocks, so the
-                // release cannot fail; an error here means the index and the pool
-                // disagree and stopping eviction (returning) is the safe response.
-                Some(block) => {
-                    if self.gpu.release_blocks(&[block]).is_err() {
-                        return;
-                    }
-                }
-                None => return,
+            // Only unpinned (ref_count == 1) blocks are evicted, so the release cannot
+            // fail; an error here means the index and the pool disagree and stopping
+            // eviction (returning) is the safe response.
+            if self.gpu.release_blocks(&[block]).is_err() {
+                return;
             }
         }
     }
@@ -337,6 +341,9 @@ impl KvCacheManager {
         let tokens = entry.table.num_tokens();
         let blocks = entry.table.take_blocks();
         self.pool_mut(entry.device).release_blocks(&blocks)?;
+        if entry.device == Device::Gpu {
+            self.sync_pins(&blocks);
+        }
         Ok(tokens)
     }
 
@@ -365,6 +372,9 @@ impl KvCacheManager {
         entry.table.append(tokens, new_blocks)?;
         entry.device = to;
         self.pool_mut(from).release_blocks(&old_blocks)?;
+        if from == Device::Gpu {
+            self.sync_pins(&old_blocks);
+        }
         Ok(SwapStats {
             seq_id,
             tokens,
@@ -425,6 +435,7 @@ impl KvCacheManager {
         let shared = hit.blocks[..full_take].to_vec();
         for &b in &shared {
             self.gpu.retain(b)?;
+            self.sync_pins(&[b]);
         }
         let mut table = BlockTable::new(bs);
         table.append(full_take * bs, shared)?;
@@ -458,10 +469,10 @@ impl KvCacheManager {
         let outcome = prefix.insert(&tokens[..n], &blocks);
         for &b in &outcome.retained {
             self.gpu.retain(b)?;
+            self.sync_pins(&[b]);
         }
-        for &b in &outcome.released {
-            self.gpu.release_blocks(&[b])?;
-        }
+        // Pruned blocks left the index, so their releases need no re-sync.
+        self.gpu.release_blocks(&outcome.released)?;
         Ok(())
     }
 

@@ -14,8 +14,14 @@
 //! prompt" or "same session history". [`expand`] flattens runs into per-token identities.
 //!
 //! The index itself owns no memory; it only names blocks. The [`crate::KvCacheManager`]
-//! holds one allocator reference per indexed block, and eviction (LRU over leaves whose
-//! block nobody else references) is driven by the manager when the GPU pool runs dry.
+//! holds one allocator reference per indexed block and tells the index, through
+//! [`PrefixIndex::set_pinned`], whenever a block gains or loses references from outside
+//! it. From those pins the index keeps two things current at every edit instead of
+//! re-deriving them from the whole tree: the count of unpinned (reclaimable) blocks, and
+//! an ordered set of unpinned leaves keyed `(last_touch, block)` whose first entry is the
+//! next eviction victim.
+
+use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 
@@ -82,6 +88,19 @@ struct Node {
     parent: Option<usize>,
     children: Vec<usize>,
     last_touch: u64,
+    /// Whether something outside the index references the block (a live sequence).
+    pinned: bool,
+}
+
+impl Node {
+    /// Whether this node may be evicted: an unpinned leaf.
+    fn evictable(&self) -> bool {
+        !self.pinned && self.children.is_empty()
+    }
+
+    fn lru_key(&self) -> (u64, usize) {
+        (self.last_touch, self.block)
+    }
 }
 
 /// Block-granular radix tree mapping token prefixes to cached KV blocks.
@@ -92,6 +111,12 @@ pub struct PrefixIndex {
     free_slots: Vec<usize>,
     roots: Vec<usize>,
     clock: u64,
+    /// Node slot of each indexed block, indexed by the pool's dense block id.
+    slot_of_block: Vec<Option<usize>>,
+    /// Number of unpinned nodes, leaves or not.
+    unpinned: usize,
+    /// Every evictable node (unpinned leaf), keyed `(last_touch, block)`.
+    lru: BTreeSet<(u64, usize)>,
 }
 
 impl PrefixIndex {
@@ -102,7 +127,7 @@ impl PrefixIndex {
     /// Panics if `block_size` is zero.
     pub fn new(block_size: usize) -> Self {
         assert!(block_size > 0, "block size must be positive");
-        Self { block_size, nodes: Vec::new(), free_slots: Vec::new(), roots: Vec::new(), clock: 0 }
+        Self { block_size, ..Self::default() }
     }
 
     /// Tokens per block.
@@ -112,7 +137,7 @@ impl PrefixIndex {
 
     /// Number of indexed blocks (= nodes).
     pub fn len(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_some()).count()
+        self.nodes.len() - self.free_slots.len()
     }
 
     /// Whether the index holds no blocks.
@@ -123,6 +148,47 @@ impl PrefixIndex {
     /// Every indexed block, in slab order (deterministic).
     pub fn blocks(&self) -> Vec<usize> {
         self.nodes.iter().flatten().map(|n| n.block).collect()
+    }
+
+    /// Number of indexed blocks nothing outside the index references (see
+    /// [`Self::set_pinned`]), interior nodes included: all of them are reclaimable, since
+    /// repeated [`Self::evict_lru`] calls drain unpinned subtrees bottom-up.
+    pub fn unpinned_len(&self) -> usize {
+        self.unpinned
+    }
+
+    /// Records whether `block` is referenced from outside the index. A pinned block is
+    /// never evicted and is not counted by [`Self::unpinned_len`]. New nodes start
+    /// unpinned; a no-op when `block` is not indexed.
+    pub fn set_pinned(&mut self, block: usize, pinned: bool) {
+        let Some(idx) = self.slot_of_block.get(block).copied().flatten() else { return };
+        let node = self.node_mut(idx);
+        if node.pinned == pinned {
+            return;
+        }
+        node.pinned = pinned;
+        let (key, leaf) = (node.lru_key(), node.children.is_empty());
+        if pinned {
+            self.unpinned -= 1;
+            if leaf {
+                self.lru.remove(&key);
+            }
+        } else {
+            self.unpinned += 1;
+            if leaf {
+                self.lru.insert(key);
+            }
+        }
+    }
+
+    /// Every leaf as `(last_touch, block)`, in slab order, pinned or not.
+    pub fn leaves(&self) -> Vec<(u64, usize)> {
+        self.nodes.iter().flatten().filter(|n| n.children.is_empty()).map(Node::lru_key).collect()
+    }
+
+    /// The block [`Self::evict_lru`] would take next, without taking it.
+    pub fn lru_victim(&self) -> Option<usize> {
+        self.lru.first().map(|&(_, block)| block)
     }
 
     fn tick(&mut self) -> u64 {
@@ -140,6 +206,18 @@ impl PrefixIndex {
         self.nodes[idx].as_mut().expect("live node")
     }
 
+    /// Stamps a node as used at `now`, re-keying its LRU entry if it has one.
+    fn touch(&mut self, idx: usize, now: u64) {
+        let node = self.node_mut(idx);
+        let old = node.lru_key();
+        node.last_touch = now;
+        if node.evictable() {
+            let new = node.lru_key();
+            self.lru.remove(&old);
+            self.lru.insert(new);
+        }
+    }
+
     fn children_of(&self, parent: Option<usize>) -> Vec<usize> {
         match parent {
             Some(p) => self.node(p).children.clone(),
@@ -154,7 +232,10 @@ impl PrefixIndex {
         block: usize,
         now: u64,
     ) -> usize {
-        let node = Node { content, block, parent, children: Vec::new(), last_touch: now };
+        let node =
+            Node { content, block, parent, children: Vec::new(), last_touch: now, pinned: false };
+        self.lru.insert(node.lru_key());
+        self.unpinned += 1;
         let idx = match self.free_slots.pop() {
             Some(slot) => {
                 self.nodes[slot] = Some(node);
@@ -166,9 +247,21 @@ impl PrefixIndex {
             }
         };
         match parent {
-            Some(p) => self.node_mut(p).children.push(idx),
+            Some(p) => {
+                let parent = self.node_mut(p);
+                if parent.evictable() {
+                    let key = parent.lru_key();
+                    self.lru.remove(&key);
+                }
+                self.node_mut(p).children.push(idx);
+            }
             None => self.roots.push(idx),
         }
+        if self.slot_of_block.len() <= block {
+            self.slot_of_block.resize(block + 1, None);
+        }
+        debug_assert!(self.slot_of_block[block].is_none(), "block {block} indexed twice");
+        self.slot_of_block[block] = Some(idx);
         idx
     }
 
@@ -177,8 +270,20 @@ impl PrefixIndex {
         // neo-lint: allow(panic-hygiene) -- indices come from the tree's own edges; a dead slot is a structural bug that must fail loudly, not corrupt the radix tree
         let node = self.nodes[idx].take().expect("live node");
         debug_assert!(node.children.is_empty(), "only leaves are removed");
+        if !node.pinned {
+            self.unpinned -= 1;
+            self.lru.remove(&node.lru_key());
+        }
+        self.slot_of_block[node.block] = None;
         match node.parent {
-            Some(p) => self.node_mut(p).children.retain(|&c| c != idx),
+            Some(p) => {
+                let parent = self.node_mut(p);
+                parent.children.retain(|&c| c != idx);
+                if parent.evictable() {
+                    let key = parent.lru_key();
+                    self.lru.insert(key);
+                }
+            }
             None => self.roots.retain(|&c| c != idx),
         }
         self.free_slots.push(idx);
@@ -203,7 +308,7 @@ impl PrefixIndex {
             if remaining.len() >= bs {
                 let chunk = &remaining[..bs];
                 if let Some(&c) = child_ids.iter().find(|&&c| self.node(c).content == chunk) {
-                    self.node_mut(c).last_touch = now;
+                    self.touch(c, now);
                     blocks.push(self.node(c).block);
                     parent = Some(c);
                     start += bs;
@@ -228,7 +333,7 @@ impl PrefixIndex {
             }
             return match best {
                 Some((cpl, block, c)) => {
-                    self.node_mut(c).last_touch = now;
+                    self.touch(c, now);
                     PrefixHit { blocks, partial: Some((block, cpl)) }
                 }
                 None => PrefixHit { blocks, partial: None },
@@ -264,7 +369,7 @@ impl PrefixIndex {
             let child_ids = self.children_of(parent);
             if chunk.len() == bs {
                 if let Some(&c) = child_ids.iter().find(|&&c| self.node(c).content == chunk) {
-                    self.node_mut(c).last_touch = now;
+                    self.touch(c, now);
                     parent = Some(c);
                     i += 1;
                     continue;
@@ -308,27 +413,15 @@ impl PrefixIndex {
         outcome
     }
 
-    /// Evicts the least-recently-touched *leaf* whose block satisfies `evictable`
-    /// (ties broken by smallest block) and returns its block, or `None` when no leaf
-    /// qualifies. Interior nodes become evictable as their subtrees drain, so repeated
-    /// calls free whole unreferenced subtrees bottom-up.
-    pub fn evict_lru(&mut self, evictable: impl Fn(usize) -> bool) -> Option<usize> {
-        let mut best: Option<(u64, usize, usize)> = None; // (last_touch, block, node)
-        for (idx, slot) in self.nodes.iter().enumerate() {
-            let Some(node) = slot else { continue };
-            if !node.children.is_empty() || !evictable(node.block) {
-                continue;
-            }
-            let key = (node.last_touch, node.block);
-            let better = match best {
-                None => true,
-                Some((t, b, _)) => key < (t, b),
-            };
-            if better {
-                best = Some((key.0, key.1, idx));
-            }
-        }
-        best.map(|(_, _, idx)| self.remove_node(idx))
+    /// Evicts the least-recently-touched unpinned *leaf* (ties broken by smallest block)
+    /// and returns its block, or `None` when no leaf qualifies. Interior nodes become
+    /// evictable as their subtrees drain, so repeated calls free whole unpinned subtrees
+    /// bottom-up. O(log n).
+    pub fn evict_lru(&mut self) -> Option<usize> {
+        let &(_, block) = self.lru.first()?;
+        // neo-lint: allow(panic-hygiene) -- every LRU entry names an indexed block; a missing slot is a structural bug that must fail loudly, not corrupt the radix tree
+        let idx = self.slot_of_block[block].expect("LRU entry is indexed");
+        Some(self.remove_node(idx))
     }
 }
 
@@ -430,15 +523,18 @@ mod tests {
     }
 
     #[test]
-    fn evict_lru_prefers_oldest_leaf_and_respects_predicate() {
+    fn evict_lru_prefers_oldest_leaf_and_skips_pinned_ones() {
         let mut idx = PrefixIndex::new(2);
         idx.insert(&expand(&[run(1, 2)]), &[10]);
         idx.insert(&expand(&[run(2, 2)]), &[11]);
         idx.lookup(&expand(&[run(1, 2)])); // refresh block 10
-        assert_eq!(idx.evict_lru(|_| true), Some(11), "LRU leaf goes first");
-        assert_eq!(idx.evict_lru(|b| b != 10), None, "predicate can veto");
-        assert_eq!(idx.evict_lru(|_| true), Some(10));
+        assert_eq!(idx.evict_lru(), Some(11), "LRU leaf goes first");
+        idx.set_pinned(10, true);
+        assert_eq!(idx.evict_lru(), None, "a pinned leaf is never a victim");
+        idx.set_pinned(10, false);
+        assert_eq!(idx.evict_lru(), Some(10));
         assert!(idx.is_empty());
+        assert_eq!(idx.unpinned_len(), 0);
     }
 
     #[test]
@@ -446,9 +542,64 @@ mod tests {
         let mut idx = PrefixIndex::new(2);
         idx.insert(&expand(&[run(1, 4)]), &[10, 11]);
         // The interior block 10 is never evicted while its child lives.
-        assert_eq!(idx.evict_lru(|_| true), Some(11));
-        assert_eq!(idx.evict_lru(|_| true), Some(10));
-        assert_eq!(idx.evict_lru(|_| true), None);
+        assert_eq!(idx.evict_lru(), Some(11));
+        assert_eq!(idx.evict_lru(), Some(10));
+        assert_eq!(idx.evict_lru(), None);
+    }
+
+    #[test]
+    fn a_leaf_that_gains_a_child_stops_being_a_victim_until_the_child_goes() {
+        let mut idx = PrefixIndex::new(2);
+        idx.insert(&expand(&[run(1, 2)]), &[10]);
+        assert_eq!(idx.lru_victim(), Some(10));
+        // Extending the cached prompt hangs block 21 under 10, making 10 interior.
+        idx.insert(&expand(&[run(1, 4)]), &[20, 21]);
+        assert_eq!(idx.lru_victim(), Some(21));
+        idx.set_pinned(21, true);
+        assert_eq!(idx.lru_victim(), None, "the interior parent is not a victim");
+        idx.set_pinned(21, false);
+        assert_eq!(idx.evict_lru(), Some(21));
+        assert_eq!(idx.lru_victim(), Some(10), "a childless parent is evictable again");
+    }
+
+    #[test]
+    fn a_touch_rekeys_the_lru_entry() {
+        let mut idx = PrefixIndex::new(2);
+        idx.insert(&expand(&[run(1, 2)]), &[10]); // touched at 1
+        idx.insert(&expand(&[run(2, 2)]), &[11]); // touched at 2
+        assert_eq!(idx.lru_victim(), Some(10));
+        idx.lookup(&expand(&[run(1, 2)])); // touched at 3
+        assert_eq!(idx.lru_victim(), Some(11));
+        let mut leaves = idx.leaves();
+        leaves.sort_unstable();
+        assert_eq!(leaves, vec![(2, 11), (3, 10)]);
+    }
+
+    #[test]
+    fn an_unpinned_interior_node_is_reclaimable_but_never_a_victim() {
+        let mut idx = PrefixIndex::new(2);
+        idx.insert(&expand(&[run(1, 4)]), &[10, 11]);
+        idx.set_pinned(11, true);
+        assert_eq!(idx.unpinned_len(), 1, "interior block 10 counts as reclaimable");
+        assert_eq!(idx.lru_victim(), None);
+        assert_eq!(idx.evict_lru(), None);
+        assert_eq!(idx.len(), 2);
+    }
+
+    #[test]
+    fn set_pinned_on_an_unindexed_block_is_a_no_op() {
+        let mut idx = PrefixIndex::new(2);
+        idx.insert(&expand(&[run(1, 2)]), &[10]);
+        idx.set_pinned(3, true); // below the indexed range
+        idx.set_pinned(10_000, true); // past the block map
+        idx.set_pinned(3, false);
+        assert_eq!(idx.unpinned_len(), 1);
+        assert_eq!(idx.lru_victim(), Some(10));
+        // Pins of an evicted block do not outlive it.
+        assert_eq!(idx.evict_lru(), Some(10));
+        idx.set_pinned(10, false);
+        assert_eq!(idx.unpinned_len(), 0);
+        assert_eq!(idx.lru_victim(), None);
     }
 
     #[test]

@@ -3,14 +3,17 @@
 //!
 //! Three layers of checks:
 //!
-//! * **Radix tree vs. a naive oracle** — random interleaved insert/lookup/evict
+//! * **Radix tree vs. a naive oracle** — random interleaved insert/lookup/pin/evict
 //!   sequences against a `BTreeMap`-of-prefixes model that re-derives the tree's
 //!   documented semantics from scratch (paths as keys, parents as length-truncated
-//!   prefixes). Every operation's result and the whole indexed block set must agree.
+//!   prefixes). Every operation's result, the whole indexed block set, the leaves, the
+//!   unpinned count and the next eviction victim must agree.
 //! * **Manager conservation** — random adopt/prefill/decode/swap/free interleavings on a
 //!   tiny three-tier [`KvCacheManager`]: pools never leak a block, every indexed block
-//!   stays referenced, and after releasing all sequences the full GPU capacity is
-//!   allocatable again (transparent eviction reclaims every index-only block).
+//!   stays referenced, the incrementally kept evictable count and next victim equal an
+//!   O(n) recount from pool refcounts, and after releasing all sequences the full GPU
+//!   capacity is allocatable again (transparent eviction reclaims every index-only
+//!   block).
 //! * **Engine bit-identity and a pinned cache-hit schedule** — with zero shared
 //!   prefixes the enabled hierarchy must not move a single bit of the fig8b-style
 //!   iteration trace (the pay-for-what-you-use property behind regenerating all
@@ -18,7 +21,7 @@
 //!   host-cache-starved T4 follows a pinned decision trace with prefix-hit prefill
 //!   skips, copy-on-write splits, and disk demotions.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use neo_bench::{Policy, Scenario};
 use neo_core::request::Request;
@@ -164,13 +167,28 @@ impl OracleIndex {
         (retained, released)
     }
 
-    fn evict_lru(&mut self, evictable: impl Fn(usize) -> bool) -> Option<usize> {
-        let victim = self
+    /// Every leaf as `(last_touch, block)`, sorted.
+    fn sorted_leaves(&self) -> Vec<(u64, usize)> {
+        let mut leaves: Vec<(u64, usize)> = self
             .nodes
+            .iter()
+            .filter(|(key, _)| self.is_leaf(key))
+            .map(|(_, &(block, touch))| (touch, block))
+            .collect();
+        leaves.sort_unstable();
+        leaves
+    }
+
+    fn lru_victim(&self, evictable: impl Fn(usize) -> bool) -> Option<Vec<Token>> {
+        self.nodes
             .iter()
             .filter(|(key, &(block, _))| self.is_leaf(key) && evictable(block))
             .min_by_key(|(_, &(block, touch))| (touch, block))
-            .map(|(key, _)| key.clone())?;
+            .map(|(key, _)| key.clone())
+    }
+
+    fn evict_lru(&mut self, evictable: impl Fn(usize) -> bool) -> Option<usize> {
+        let victim = self.lru_victim(evictable)?;
         Some(self.nodes.remove(&victim).expect("live node").0)
     }
 }
@@ -188,6 +206,9 @@ fn op_tokens(run: u64, len: usize, extra: usize) -> Vec<Token> {
 fn check_index_against_oracle(ops: &[(usize, u64, usize, usize)]) -> Result<(), TestCaseError> {
     let mut idx = PrefixIndex::new(BS);
     let mut oracle = OracleIndex::default();
+    // Blocks the test has pinned while they were indexed; ids are never reused, so an
+    // entry left behind by an evicted or pruned block names nothing.
+    let mut pinned: BTreeSet<usize> = BTreeSet::new();
     let mut next_block = 100usize;
     for &(sel, run, len, extra) in ops {
         match sel {
@@ -217,14 +238,27 @@ fn check_index_against_oracle(ops: &[(usize, u64, usize, usize)]) -> Result<(), 
                 prop_assert_eq!(&real.blocks, &blocks, "lookup full chain");
                 prop_assert_eq!(real.partial, partial, "lookup partial tail");
             }
-            _ => {
-                let pred: Box<dyn Fn(usize) -> bool> = match extra % 3 {
-                    0 => Box::new(|_| true),
-                    1 => Box::new(|b| b % 2 == 0),
-                    _ => Box::new(|b| b % 3 != 0),
+            5 | 6 => {
+                // Pin or unpin an indexed block; with `extra == 0`, a block below the
+                // allocated id range, which the index must ignore.
+                let blocks = oracle.sorted_blocks();
+                let block = match blocks.len() {
+                    n if n > 0 && extra > 0 => blocks[(len * 7 + extra) % n],
+                    _ => len,
                 };
-                let real = idx.evict_lru(&pred);
-                let want = oracle.evict_lru(&pred);
+                let pin = run != 0;
+                idx.set_pinned(block, pin);
+                if blocks.contains(&block) {
+                    if pin {
+                        pinned.insert(block);
+                    } else {
+                        pinned.remove(&block);
+                    }
+                }
+            }
+            _ => {
+                let real = idx.evict_lru();
+                let want = oracle.evict_lru(|b| !pinned.contains(&b));
                 prop_assert_eq!(real, want, "evict_lru victim");
             }
         }
@@ -232,6 +266,14 @@ fn check_index_against_oracle(ops: &[(usize, u64, usize, usize)]) -> Result<(), 
         let mut real_blocks = idx.blocks();
         real_blocks.sort_unstable();
         prop_assert_eq!(real_blocks, oracle.sorted_blocks(), "indexed block set diverged");
+        let mut real_leaves = idx.leaves();
+        real_leaves.sort_unstable();
+        prop_assert_eq!(real_leaves, oracle.sorted_leaves(), "leaves or touches diverged");
+        let unpinned = oracle.nodes.values().filter(|&&(b, _)| !pinned.contains(&b)).count();
+        prop_assert_eq!(idx.unpinned_len(), unpinned, "unpinned count diverged");
+        let want_victim =
+            oracle.lru_victim(|b| !pinned.contains(&b)).map(|key| oracle.nodes[&key].0);
+        prop_assert_eq!(idx.lru_victim(), want_victim, "next victim diverged");
     }
     Ok(())
 }
@@ -275,6 +317,19 @@ fn check_manager_invariants(m: &KvCacheManager) -> Result<(), TestCaseError> {
         );
     }
     prop_assert!(m.evictable_tokens() <= m.pool(Device::Gpu).used_tokens());
+    // The incrementally kept count and LRU order against an O(n) recount from the
+    // pool's own refcounts.
+    let gpu = m.pool(Device::Gpu);
+    let index_only = |b: usize| matches!(gpu.ref_count(b), Ok(1));
+    let recount = m.prefix_blocks().into_iter().filter(|&b| index_only(b)).count();
+    prop_assert_eq!(m.evictable_tokens(), recount * BS, "evictable count diverged");
+    let index = m.prefix_index().expect("prefix cache enabled");
+    let want_victim = index.leaves().into_iter().filter(|&(_, b)| index_only(b)).min();
+    prop_assert_eq!(
+        index.lru_victim(),
+        want_victim.map(|(_, b)| b),
+        "next eviction victim diverged"
+    );
     prop_assert_eq!(
         m.free_tokens(Device::Gpu),
         m.pool(Device::Gpu).free_tokens() + m.evictable_tokens(),
@@ -367,10 +422,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The radix tree agrees with the naive oracle on every operation of random
-    /// interleaved insert/lookup/evict sequences.
+    /// interleaved insert/lookup/pin/evict sequences; pinned blocks are never victims.
     #[test]
     fn prop_prefix_index_matches_naive_oracle(
-        ops in proptest::collection::vec((0usize..6, 0u64..3, 1usize..10, 0usize..5), 1..60)
+        ops in proptest::collection::vec((0usize..8, 0u64..3, 1usize..10, 0usize..5), 1..60)
     ) {
         check_index_against_oracle(&ops)?;
     }

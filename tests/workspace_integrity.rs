@@ -65,4 +65,11 @@ fn ci_runs_the_perfbench_smoke_job() {
         ),
         "the perfbench-smoke job must run a traced cpu_decode smoke"
     );
+    assert!(
+        yaml.contains(
+            "--manifest-path perfbench/Cargo.toml -- --workload chat_prefix --seed 1 \
+             --seconds 1 --trace 1"
+        ),
+        "the perfbench-smoke job must run a traced chat_prefix smoke"
+    );
 }
