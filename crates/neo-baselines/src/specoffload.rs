@@ -107,14 +107,9 @@ impl SchedulerPolicy for SpecOffloadScheduler {
     /// judge the claim after the fact and adapt the width (AIMD).
     fn split_offload(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
         let cfg = ctx.config;
-        let mut candidates: Vec<(u64, usize)> = ctx
-            .cpu_run
-            .iter()
-            .filter(|id| !plan.swap_in.contains(id))
-            .map(|&id| (id, ctx.context_len(id)))
-            .collect();
-        candidates.extend(plan.swap_out.iter().map(|&id| (id, ctx.context_len(id))));
-        candidates.sort_by_key(|&(_, c)| c);
+        // The same candidates NEO balances: CPU-resident decodes that stay CPU-resident
+        // this iteration (not swapped in, not demoted to disk), plus the swapped-out.
+        let candidates = plan.offload_candidates(ctx);
 
         // No GPU work at all to hide behind: run the CPU-residents as a plain CPU batch
         // (there is no latent capacity to speculate on, only idle hardware).
@@ -325,6 +320,39 @@ mod tests {
         assert_eq!(s.speculations(), 0);
         assert_eq!(d.batch1.cpu_decodes.len(), 6);
         assert!(d.batch0.is_empty());
+    }
+
+    #[test]
+    fn a_request_demoted_to_disk_is_never_decoded() {
+        // Shedding GPU decode 3 overflows the CPU cache, so the CPU resident 2 is demoted
+        // to disk this iteration: it has no CPU-resident KV left, and only the shed
+        // request may be speculated onto the CPU.
+        let mut fx = Fixture::new();
+        fx.config.disk_tier = true;
+        fx.add_running(1, 500, Device::Gpu);
+        fx.add_running(3, 600, Device::Gpu);
+        fx.add_running(2, 900, Device::Cpu);
+        let cm = cost();
+        let ctx = ScheduleContext {
+            cost: &cm,
+            config: &fx.config,
+            requests: &fx.requests,
+            waiting: &fx.waiting,
+            gpu_run: &fx.gpu_run,
+            cpu_run: &fx.cpu_run,
+            disk_run: &[],
+            gpu_free_tokens: 1,
+            cpu_free_tokens: 100,
+            disk_free_tokens: 100_000,
+            gpu_capacity_tokens: 1,
+            prefill_device: &fx.prefill_device,
+            admission_backlog: 0,
+        };
+        let d = SpecOffloadScheduler::new().schedule(&ctx);
+        assert_eq!(d.demote_disk, vec![2]);
+        assert_eq!(d.swap_out, vec![3]);
+        assert_eq!(d.batch1.cpu_decodes, vec![(3, 600)]);
+        assert!(d.batch0.cpu_decodes.is_empty());
     }
 
     #[test]

@@ -95,15 +95,21 @@ pub fn stage_times(cost: &dyn IterationCost, batch: &SubBatch) -> StageTimes {
 ///
 /// Shared by `NeoScheduler` (which enforces it while placing CPU decodes) and the
 /// SpecOffload baseline (which checks it *after* speculatively over-placing them), so
-/// the two policies always judge "hidden" by the same rule.
+/// the two policies always judge "hidden" by the same rule. A thin wrapper over
+/// [`balanced_times`] that prices both sub-batches in full.
 pub fn balanced(
     cost: &dyn IterationCost,
     batch0: &SubBatch,
     batch1: &SubBatch,
     slack: f64,
 ) -> bool {
-    let s0 = stage_times(cost, batch0);
-    let s1 = stage_times(cost, batch1);
+    balanced_times(&stage_times(cost, batch0), &stage_times(cost, batch1), slack)
+}
+
+/// [`balanced`] over already-priced stage times: callers that keep each sub-batch's
+/// [`StageTimes`] up to date as they edit it (NEO's step-4 probes) judge a candidate
+/// without re-pricing the sub-batch it leaves unchanged.
+pub fn balanced_times(s0: &StageTimes, s1: &StageTimes, slack: f64) -> bool {
     let tol = 1.0 + slack;
     s1.tca <= s0.tl * tol && s0.tca <= (s1.tl + s0.tga) * tol
 }
@@ -121,8 +127,28 @@ pub fn estimate_asymmetric(
     whole_swap_in_tokens: usize,
     layerwise_overlap: bool,
 ) -> IterationEstimate {
-    let s0 = stage_times(cost, &decision.batch0);
-    let s1 = stage_times(cost, &decision.batch1);
+    estimate_asymmetric_priced(
+        cost,
+        decision,
+        &stage_times(cost, &decision.batch0),
+        &stage_times(cost, &decision.batch1),
+        whole_swap_out_tokens,
+        whole_swap_in_tokens,
+        layerwise_overlap,
+    )
+}
+
+/// [`estimate_asymmetric`] with the sub-batches' stage times already priced: `s0` and
+/// `s1` must be [`stage_times`] of `decision.batch0` and `decision.batch1`.
+pub fn estimate_asymmetric_priced(
+    cost: &dyn IterationCost,
+    decision: &ScheduleDecision,
+    s0: &StageTimes,
+    s1: &StageTimes,
+    whole_swap_out_tokens: usize,
+    whole_swap_in_tokens: usize,
+    layerwise_overlap: bool,
+) -> IterationEstimate {
     let layers = cost.n_layers() as f64;
 
     // The paper's iteration formula: the two sub-batches alternate long and short stages.
@@ -168,7 +194,26 @@ pub fn estimate_gpu_only(
     whole_swap_in_tokens: usize,
     layerwise_overlap: bool,
 ) -> IterationEstimate {
-    let s0 = stage_times(cost, batch0);
+    estimate_gpu_only_priced(
+        cost,
+        batch0,
+        &stage_times(cost, batch0),
+        whole_swap_out_tokens,
+        whole_swap_in_tokens,
+        layerwise_overlap,
+    )
+}
+
+/// [`estimate_gpu_only`] with batch-0's stage times already priced: `s0` must be
+/// [`stage_times`] of `batch0`.
+pub fn estimate_gpu_only_priced(
+    cost: &dyn IterationCost,
+    batch0: &SubBatch,
+    s0: &StageTimes,
+    whole_swap_out_tokens: usize,
+    whole_swap_in_tokens: usize,
+    layerwise_overlap: bool,
+) -> IterationEstimate {
     debug_assert_eq!(s0.tca, 0.0, "GPU-only batches must not contain CPU decodes");
     let layers = cost.n_layers() as f64;
     let per_layer = s0.tl + s0.tga;

@@ -234,6 +234,27 @@ impl IterationPlan {
         }
     }
 
+    /// The decodes an offload split may place on the CPU this iteration, shortest context
+    /// first (ties keep run-queue order): the CPU run queue minus the requests this plan
+    /// swaps in (they decode from the GPU) or demotes to disk (they have no CPU-resident
+    /// KV left to decode from), plus the requests it swaps out.
+    ///
+    /// Shared by `NeoScheduler` and the SpecOffload baseline, so both offload the same
+    /// population.
+    pub fn offload_candidates(&self, ctx: &ScheduleContext<'_>) -> Vec<(u64, usize)> {
+        let mut leaving: Vec<u64> = self.swap_in.iter().chain(&self.demote_disk).copied().collect();
+        leaving.sort_unstable();
+        let mut candidates: Vec<(u64, usize)> = ctx
+            .cpu_run
+            .iter()
+            .filter(|id| leaving.binary_search(id).is_err())
+            .chain(&self.swap_out)
+            .map(|&id| (id, ctx.context_len(id)))
+            .collect();
+        candidates.sort_by_key(|&(_, c)| c);
+        candidates
+    }
+
     /// Finalises the plan into the decision the engine will execute.
     pub fn into_decision(self) -> ScheduleDecision {
         ScheduleDecision {
@@ -598,6 +619,25 @@ mod tests {
         plan.form_gpu_first_batches(&ctx);
         assert!(plan.promote_disk.is_empty());
         assert!(plan.demote_disk.is_empty());
+    }
+
+    #[test]
+    fn offload_candidates_skip_swapped_in_and_demoted_requests() {
+        let mut fx = Fixture::new();
+        for (id, ctx_len) in [(1, 700), (2, 300), (3, 500), (4, 300)] {
+            fx.requests.insert(id, running(id, ctx_len));
+            fx.cpu_run.push(id);
+        }
+        fx.requests.insert(5, running(5, 400));
+        fx.gpu_run.push(5);
+        let cm = cost();
+        let ctx = fx.ctx(&cm);
+        let mut plan = IterationPlan::new(&ctx);
+        plan.swap_in.push(3);
+        plan.demote_disk.push(1);
+        plan.swap_out.push(5);
+        // Shortest context first; the tie between 2 and 4 keeps run-queue order.
+        assert_eq!(plan.offload_candidates(&ctx), vec![(2, 300), (4, 300), (5, 400)]);
     }
 
     #[test]

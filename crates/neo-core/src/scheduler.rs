@@ -15,6 +15,10 @@
 //! 6. build the GPU-only alternative (batch-0 without the CPU decodes added in step 4) and
 //!    greedily pick whichever schedule has the higher estimated throughput (*Greedy*).
 //!
+//! The procedure runs on every iteration's critical path, so steps 4–6 price each
+//! sub-batch once and then keep its stage times up to date: one CPU-decode probe costs
+//! two cost-model queries, and one call costs O(candidates) queries in all.
+//!
 //! `NeoScheduler` — like every baseline in `neo-baselines` — is written as a
 //! [`SchedulerPolicy`] (the phase-decomposed policy seam in [`crate::policy`]): the six
 //! steps map onto the trait's phases as batch formation (step 2), admission (step 3),
@@ -28,7 +32,9 @@ use neo_sim::profiler::IterationCost;
 
 use crate::batch::{ScheduleDecision, SubBatch};
 use crate::config::EngineConfig;
-use crate::pipeline::{balanced, estimate_asymmetric, estimate_gpu_only};
+use crate::pipeline::{
+    balanced_times, estimate_asymmetric_priced, estimate_gpu_only_priced, stage_times, StageTimes,
+};
 use crate::policy::{IterationPlan, SchedulerPolicy};
 use crate::request::Request;
 use crate::ExecutionMode;
@@ -108,6 +114,8 @@ pub trait Scheduler: Send {
 #[derive(Debug, Default, Clone)]
 pub struct NeoScheduler {
     iterations: u64,
+    /// Stage times of the plan `split_offload` just finished, for `select_mode`.
+    priced: Option<PricedPlan>,
 }
 
 impl NeoScheduler {
@@ -134,6 +142,7 @@ impl SchedulerPolicy for NeoScheduler {
     /// [`IterationPlan::form_gpu_first_batches`], shared with the SpecOffload baseline.
     fn form_batches(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
         self.iterations += 1;
+        self.priced = None;
         plan.form_gpu_first_batches(ctx);
     }
 
@@ -166,21 +175,21 @@ impl SchedulerPolicy for NeoScheduler {
 
     /// Steps 4 and 5: place CPU decode requests while the balancing inequalities hold,
     /// then shed prefill chunks that force swap-outs while balance keeps holding.
+    ///
+    /// Each sub-batch is priced once up front and then kept priced as it is edited: a
+    /// probe that adds one CPU decode re-prices only the probed sub-batch's linear and
+    /// CPU-attention stages (two cost queries), and a shed prefill re-prices batch-0
+    /// alone. The decisions are exactly those of re-checking [`balanced`] on the whole
+    /// plan at every probe, since every query sees the same integer sums.
+    ///
+    /// [`balanced`]: crate::pipeline::balanced
     fn split_offload(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
         let cost = ctx.cost;
         let cfg = ctx.config;
 
         // Step 4: CPU-resident candidates (minus swapped-in and disk-demoted, plus
-        // freshly swapped-out). A request demoted to disk this iteration has no
-        // CPU-resident KV to decode from.
-        let mut cpu_candidates: Vec<(u64, usize)> = ctx
-            .cpu_run
-            .iter()
-            .filter(|id| !plan.swap_in.contains(id) && !plan.demote_disk.contains(id))
-            .map(|&id| (id, ctx.context_len(id)))
-            .collect();
-        cpu_candidates.extend(plan.swap_out.iter().map(|&id| (id, ctx.context_len(id))));
-        cpu_candidates.sort_by_key(|&(_, c)| c);
+        // freshly swapped-out), shortest context first.
+        let mut cpu_candidates = plan.offload_candidates(ctx);
 
         // Degenerate case: nothing at all runs on the GPU this iteration (no prefills, no
         // GPU decodes). The balancing inequalities would then forbid every CPU decode
@@ -194,23 +203,26 @@ impl SchedulerPolicy for NeoScheduler {
                 plan.batch1.cpu_decodes.push((id, c));
             }
         }
+        let mut p0 = PricedBatch::price(cost, &plan.batch0);
+        let mut p1 = PricedBatch::price(cost, &plan.batch1);
         for (id, c) in cpu_candidates {
             if plan.batch0.sequences() + plan.batch1.sequences() >= 2 * cfg.max_batch_seqs {
                 break;
             }
             // Try batch-1 first (it exists to absorb CPU attention under Tl0's shadow).
-            plan.batch1.cpu_decodes.push((id, c));
-            if balanced(cost, &plan.batch0, &plan.batch1, cfg.balance_slack) {
+            let probe = p1.with_cpu_decode(cost, c);
+            if balanced_times(&p0.times, &probe.times, cfg.balance_slack) {
+                plan.batch1.cpu_decodes.push((id, c));
+                p1 = probe;
                 continue;
             }
-            plan.batch1.cpu_decodes.pop();
-
-            plan.batch0.cpu_decodes.push((id, c));
-            if balanced(cost, &plan.batch0, &plan.batch1, cfg.balance_slack) {
-                continue;
+            let probe = p0.with_cpu_decode(cost, c);
+            if balanced_times(&probe.times, &p1.times, cfg.balance_slack) {
+                plan.batch0.cpu_decodes.push((id, c));
+                p0 = probe;
             }
-            plan.batch0.cpu_decodes.pop();
-            // Violates both inequalities: leave it for the next iteration (Hiding CPU).
+            // Otherwise it violates both inequalities: leave it for the next iteration
+            // (Hiding CPU).
         }
 
         // Step 5: shed prefill chunks that force swap-outs while balance still holds.
@@ -224,7 +236,9 @@ impl SchedulerPolicy for NeoScheduler {
             while let Some(pos) = plan.batch0.prefills.iter().rposition(|p| p.target == Device::Cpu)
             {
                 let removed = plan.batch0.prefills.remove(pos);
-                if balanced(cost, &plan.batch0, &plan.batch1, cfg.balance_slack) {
+                let shed = PricedBatch::price(cost, &plan.batch0);
+                if balanced_times(&shed.times, &p1.times, cfg.balance_slack) {
+                    p0 = shed;
                     continue; // removal kept the pipeline balanced; keep it removed
                 }
                 // Removing it unbalanced the pipeline (the CPU work no longer hides behind
@@ -233,59 +247,133 @@ impl SchedulerPolicy for NeoScheduler {
                 break;
             }
         }
+        self.priced = Some(PricedPlan { shape: plan_shape(plan), batch0: p0, batch1: p1 });
     }
 
     /// Step 6: greedy choice between the asymmetric and GPU-only schedules by estimated
     /// throughput.
+    ///
+    /// Reuses the stage times `split_offload` left priced for this plan (re-pricing only
+    /// when the phases were driven without it), and builds the GPU-only alternative by
+    /// taking batch-0's CPU decodes out of the asymmetric decision rather than cloning
+    /// it: only its linear stage needs a new query.
     fn select_mode(&mut self, ctx: &ScheduleContext<'_>, plan: IterationPlan) -> ScheduleDecision {
         let cost = ctx.cost;
         let cfg = ctx.config;
         let swap_out_tokens: usize = plan.swap_out.iter().map(|&id| ctx.context_len(id)).sum();
         let swap_in_tokens: usize = plan.swap_in.iter().map(|&id| ctx.context_len(id)).sum();
 
+        let (p0, p1) = match self.priced.take() {
+            Some(priced) if priced.shape == plan_shape(&plan) => (priced.batch0, priced.batch1),
+            _ => (PricedBatch::price(cost, &plan.batch0), PricedBatch::price(cost, &plan.batch1)),
+        };
+
         let mut asym = plan.into_decision();
         asym.mode = ExecutionMode::Asymmetric;
-        let asym_est = estimate_asymmetric(
+        let asym_est = estimate_asymmetric_priced(
             cost,
             &asym,
+            &p0.times,
+            &p1.times,
             swap_out_tokens,
             swap_in_tokens,
             cfg.layerwise_swap_overlap,
         );
 
         // GPU-only alternative: batch-0 without the CPU decodes added in step 4.
-        let mut gpu_only_batch0 = asym.batch0.clone();
-        gpu_only_batch0.cpu_decodes.clear();
-        let gpu_only = ScheduleDecision {
-            mode: ExecutionMode::GpuOnly,
-            batch0: gpu_only_batch0,
-            batch1: SubBatch::new(),
-            swap_out: asym.swap_out.clone(),
-            swap_in: asym.swap_in.clone(),
-            preempt: asym.preempt.clone(),
-            demote_disk: asym.demote_disk.clone(),
-            promote_disk: asym.promote_disk.clone(),
+        let cpu_decodes = std::mem::take(&mut asym.batch0.cpu_decodes);
+        let gpu_tl = if cpu_decodes.is_empty() {
+            p0.times.tl
+        } else {
+            cost.linear_time(p0.linear_tokens - cpu_decodes.len())
         };
-        let gpu_est = estimate_gpu_only(
+        let gpu_s0 = StageTimes { tl: gpu_tl, tga: p0.times.tga, tca: 0.0 };
+        let gpu_est = estimate_gpu_only_priced(
             cost,
-            &gpu_only.batch0,
+            &asym.batch0,
+            &gpu_s0,
             swap_out_tokens,
             swap_in_tokens,
             cfg.layerwise_swap_overlap,
         );
 
         if asym_est.throughput() > gpu_est.throughput() {
+            asym.batch0.cpu_decodes = cpu_decodes;
             asym
         } else {
-            gpu_only
+            ScheduleDecision { mode: ExecutionMode::GpuOnly, batch1: SubBatch::new(), ..asym }
         }
     }
+}
+
+/// A sub-batch's stage times together with the integer sums they were priced from, so
+/// adding one CPU decode re-prices with two cost queries instead of three plus O(n)
+/// sums.
+#[derive(Debug, Clone, Copy)]
+struct PricedBatch {
+    times: StageTimes,
+    /// [`SubBatch::linear_tokens`] of the priced sub-batch.
+    linear_tokens: usize,
+    /// [`SubBatch::cpu_decode_ctx`] of the priced sub-batch.
+    cpu_ctx: usize,
+    /// Number of CPU decodes in the priced sub-batch.
+    n_cpu_decodes: usize,
+}
+
+impl PricedBatch {
+    fn price(cost: &dyn IterationCost, batch: &SubBatch) -> Self {
+        Self {
+            times: stage_times(cost, batch),
+            linear_tokens: batch.linear_tokens(),
+            cpu_ctx: batch.cpu_decode_ctx(),
+            n_cpu_decodes: batch.cpu_decodes.len(),
+        }
+    }
+
+    /// The pricing of this sub-batch with one more CPU decode of context `ctx_len`: its
+    /// GPU attention is unchanged.
+    fn with_cpu_decode(&self, cost: &dyn IterationCost, ctx_len: usize) -> Self {
+        let linear_tokens = self.linear_tokens + 1;
+        let cpu_ctx = self.cpu_ctx + ctx_len;
+        let n_cpu_decodes = self.n_cpu_decodes + 1;
+        Self {
+            times: StageTimes {
+                tl: cost.linear_time(linear_tokens),
+                tga: self.times.tga,
+                tca: cost.cpu_attn_time(cpu_ctx, n_cpu_decodes),
+            },
+            linear_tokens,
+            cpu_ctx,
+            n_cpu_decodes,
+        }
+    }
+}
+
+/// Both sub-batches as `split_offload` left them, priced, keyed by the plan's shape.
+#[derive(Debug, Clone, Copy)]
+struct PricedPlan {
+    shape: [usize; 6],
+    batch0: PricedBatch,
+    batch1: PricedBatch,
+}
+
+/// Item counts of both sub-batches: `select_mode` re-prices instead of trusting a cache
+/// whose plan was edited in between.
+fn plan_shape(plan: &IterationPlan) -> [usize; 6] {
+    let (b0, b1) = (&plan.batch0, &plan.batch1);
+    [
+        b0.prefills.len(),
+        b0.gpu_decodes.len(),
+        b0.cpu_decodes.len(),
+        b1.prefills.len(),
+        b1.gpu_decodes.len(),
+        b1.cpu_decodes.len(),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::stage_times;
     use neo_sim::{CostModel, ModelDesc, Testbed};
 
     fn cost() -> CostModel {
@@ -334,7 +422,11 @@ mod tests {
         }
 
         fn schedule(&self, cost: &CostModel) -> ScheduleDecision {
-            let ctx = ScheduleContext {
+            NeoScheduler::new().schedule(&self.ctx(cost))
+        }
+
+        fn ctx<'a>(&'a self, cost: &'a CostModel) -> ScheduleContext<'a> {
+            ScheduleContext {
                 cost,
                 config: &self.config,
                 requests: &self.requests,
@@ -348,8 +440,7 @@ mod tests {
                 gpu_capacity_tokens: self.gpu_free,
                 prefill_device: &self.prefill_device,
                 admission_backlog: 0,
-            };
-            NeoScheduler::new().schedule(&ctx)
+            }
         }
     }
 
@@ -450,6 +541,31 @@ mod tests {
     }
 
     #[test]
+    fn select_mode_reprices_a_plan_edited_after_the_split() {
+        let mut fx = Fixture::new();
+        for id in 0..40 {
+            fx.add_running(id, 800, Device::Gpu);
+        }
+        fx.add_waiting(1000, 1500);
+        for id in 100..160 {
+            fx.add_running(id, 800, Device::Cpu);
+        }
+        let cm = cost();
+        let ctx = fx.ctx(&cm);
+        let mut neo = NeoScheduler::new();
+        let mut plan = IterationPlan::new(&ctx);
+        neo.form_batches(&ctx, &mut plan);
+        neo.admit(&ctx, &mut plan);
+        neo.split_offload(&ctx, &mut plan);
+        assert!(plan.batch1.cpu_decodes.len() > 1, "the split must offload to batch-1");
+        // A caller drops a CPU decode between the phases: the cached stage times no
+        // longer describe the plan, so the choice must match a scheduler without them.
+        plan.batch1.cpu_decodes.pop();
+        let after_edit = neo.select_mode(&ctx, plan.clone());
+        assert_eq!(after_edit, NeoScheduler::new().select_mode(&ctx, plan));
+    }
+
+    #[test]
     fn greedy_never_picks_worse_than_gpu_only() {
         // With no CPU work at all, the decision must effectively be the GPU-only batch.
         let mut fx = Fixture::new();
@@ -466,21 +582,8 @@ mod tests {
         let mut s = NeoScheduler::new();
         assert_eq!(s.name(), "neo");
         let fx = Fixture::new();
-        let ctx = ScheduleContext {
-            cost: &cost(),
-            config: &fx.config,
-            requests: &fx.requests,
-            waiting: &fx.waiting,
-            gpu_run: &fx.gpu_run,
-            cpu_run: &fx.cpu_run,
-            disk_run: &[],
-            gpu_free_tokens: fx.gpu_free,
-            cpu_free_tokens: fx.cpu_free,
-            disk_free_tokens: 0,
-            gpu_capacity_tokens: fx.gpu_free,
-            prefill_device: &fx.prefill_device,
-            admission_backlog: 0,
-        };
+        let cm = cost();
+        let ctx = fx.ctx(&cm);
         let _ = s.schedule(&ctx);
         let _ = s.schedule(&ctx);
         assert_eq!(s.iterations(), 2);

@@ -48,7 +48,9 @@ fn ci_runs_the_lint_job() {
 
 /// The functional model must stay exercised end to end in CI: a `perfbench-smoke`
 /// job that runs perfbench's tests and a short `cpu_decode` run, which exits 1 when
-/// the GPU/CPU twin sequences diverge or the attention kernel drifts.
+/// the GPU/CPU twin sequences diverge or the attention kernel drifts, plus traced
+/// `chat_prefix` and `t4_offload` smokes, which exit 1 when tracing changes the
+/// simulated outputs.
 #[test]
 fn ci_runs_the_perfbench_smoke_job() {
     let ci = concat!(env!("CARGO_MANIFEST_DIR"), "/../../.github/workflows/ci.yml");
@@ -71,5 +73,12 @@ fn ci_runs_the_perfbench_smoke_job() {
              --seconds 1 --trace 1"
         ),
         "the perfbench-smoke job must run a traced chat_prefix smoke"
+    );
+    assert!(
+        yaml.contains(
+            "--manifest-path perfbench/Cargo.toml -- --workload t4_offload --seed 1 \
+             --seconds 1 --trace 1"
+        ),
+        "the perfbench-smoke job must run a traced t4_offload smoke"
     );
 }
